@@ -2,9 +2,9 @@
 //
 // Measures single-thread per-frame loss-gradient evaluations per second
 // (energy + force loss, full parameter gradient including the second-order
-// force term) for the scalar-tape oracle and the analytic fused kernels
-// (dp/fast_graph.hpp), across descriptor/fitting sizes from test-tiny up to
-// the paper's default architecture.
+// force term) for the scalar-tape oracle (tests/support/tape_oracle.hpp) and
+// the analytic fused kernels (dp/fast_graph.hpp), across descriptor/fitting
+// sizes from test-tiny up to the paper's default architecture.
 //
 // Emits BENCH_kernels.json:
 //   {"bench": "model_kernels",
@@ -52,10 +52,10 @@
 #include "hpc/scratch.hpp"
 #include "hpc/thread_pool.hpp"
 #include "md/simulation.hpp"
-#include "nn/schedule.hpp"
 #include "nn/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "tape_oracle.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
 
@@ -271,8 +271,6 @@ int main(int argc, char** argv) {
   }
   const double budget = smoke ? 0.05 : 0.5;
   const dp::LossWeights weights{/*pref_e=*/1.0, /*pref_f=*/10.0};
-  const dp::DeepmdLoss loss(dp::LossConfig{},
-                            nn::ExponentialDecay(0.01, 0.001, 100, 10));
 
   obs::metrics().reset();
   std::printf("model kernels: %zu atoms, %zu frames, budget %.2fs per engine\n",
@@ -289,11 +287,10 @@ int main(int argc, char** argv) {
     input.fitting.neuron = config.fitting;
     const dp::DeepPotModel model(input, data.train.types(), 0.0, 7);
 
-    std::vector<dp::NeighborTopology> topologies;
     std::vector<dp::FrameGeometry> geometries(num_frames);
     for (std::size_t f = 0; f < num_frames; ++f) {
-      topologies.push_back(model.build_topology(data.train.frame(f)));
-      dp::build_frame_geometry(model, data.train.frame(f), topologies[f],
+      const md::Frame& frame = data.train.frame(f);
+      dp::build_frame_geometry(model, frame, model.build_topology(frame),
                                geometries[f]);
     }
 
@@ -305,11 +302,10 @@ int main(int argc, char** argv) {
     const auto tape_step = [&](std::size_t f) {
       const md::Frame& frame = data.train.frame(f);
       tape.reset();
-      const dp::DeepPotModel::FrameGraph graph =
-          model.build_graph(tape, frame, topologies[f]);
+      const oracle::TapeGraph graph = oracle::build_graph(tape, model, frame);
       const ad::Var frame_loss =
-          loss.build(tape, graph.energy, frame.energy, graph.forces,
-                     frame.forces, frame.positions.size(), weights);
+          oracle::loss(tape, graph.energy, frame.energy, graph.forces,
+                       frame.forces, frame.positions.size(), weights);
       const std::vector<ad::Var> dloss = tape.gradient(frame_loss, graph.params);
       return frame_loss.value() + dloss.front().value() * 0.0;  // keep it live
     };
@@ -362,11 +358,10 @@ int main(int argc, char** argv) {
     input.descriptor.sel = matrix_config.sel;
     input.fitting.neuron = matrix_config.fitting;
     const dp::DeepPotModel model(input, data.train.types(), 0.0, 7);
-    std::vector<dp::NeighborTopology> topologies;
     std::vector<dp::FrameGeometry> geometries(num_frames);
     for (std::size_t f = 0; f < num_frames; ++f) {
-      topologies.push_back(model.build_topology(data.train.frame(f)));
-      dp::build_frame_geometry(model, data.train.frame(f), topologies[f],
+      const md::Frame& frame = data.train.frame(f);
+      dp::build_frame_geometry(model, frame, model.build_topology(frame),
                                geometries[f]);
     }
     const dp::FastGraph fast(model);

@@ -1,6 +1,7 @@
 // Substrate micro-benchmarks: the kernels a real (non-surrogate) evaluation
 // spends its time in -- MD stepping for data generation, the DeepPot-SE
-// descriptor/energy, autodiff forces, and one full training step.  These
+// descriptor/energy (plain-double reference), analytic energy + forces, and
+// one full training step on the tape oracle.  These
 // support the paper's framing that the per-individual training dominates the
 // workflow cost (everything around it is negligible).
 #include <benchmark/benchmark.h>
@@ -9,9 +10,11 @@
 
 #include "bench_common.hpp"
 #include "dp/loss.hpp"
-#include "nn/optimizer.hpp"
+#include "dp/potential.hpp"
 #include "dp/trainer.hpp"
 #include "md/simulation.hpp"
+#include "nn/optimizer.hpp"
+#include "tape_oracle.hpp"
 
 namespace {
 
@@ -46,7 +49,7 @@ struct Fixture {
 
 void print_context() {
   bench::print_header("Substrate micro-benchmarks",
-                      "MD stepping, descriptor, autodiff forces, training step");
+                      "MD stepping, descriptor, analytic forces, tape training step");
   const auto& f = Fixture::instance();
   std::printf("system: %zu atoms, box %.2f A; model: embed {8,16} M2=4,"
               " fit {32,32}\n",
@@ -86,24 +89,25 @@ void BM_ModelEnergyDoublePath(benchmark::State& state) {
                                f.data.train.mean_energy_per_atom(), 5);
   const md::Frame& frame = f.data.train.frame(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.energy(frame));
+    benchmark::DoNotOptimize(oracle::energy(model, frame));
   }
 }
 BENCHMARK(BM_ModelEnergyDoublePath);
 
-void BM_ModelEnergyForcesAutodiff(benchmark::State& state) {
+void BM_PotentialEvaluate(benchmark::State& state) {
   const auto& f = Fixture::instance();
-  const dp::DeepPotModel model(f.config, f.data.train.types(),
-                               f.data.train.mean_energy_per_atom(), 5);
+  const dp::Potential potential(dp::DeepPotModel(
+      f.config, f.data.train.types(), f.data.train.mean_energy_per_atom(), 5));
   const md::Frame& frame = f.data.train.frame(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.energy_forces(frame));
+    benchmark::DoNotOptimize(potential.evaluate(frame));
   }
 }
-BENCHMARK(BM_ModelEnergyForcesAutodiff);
+BENCHMARK(BM_PotentialEvaluate);
 
 void BM_FullTrainingStep(benchmark::State& state) {
-  // One Adam step including the double-backprop through the force loss.
+  // One Adam step on the tape oracle, including the double-backprop through
+  // the force loss.
   const auto& f = Fixture::instance();
   dp::DeepPotModel model(f.config, f.data.train.types(),
                          f.data.train.mean_energy_per_atom(), 5);
@@ -116,10 +120,10 @@ void BM_FullTrainingStep(benchmark::State& state) {
   ad::Tape tape(1 << 20);
   for (auto _ : state) {
     tape.reset();
-    const auto graph = model.build_graph(tape, frame);
-    const ad::Var frame_loss = loss.build(tape, graph.energy, frame.energy,
-                                          graph.forces, frame.forces,
-                                          frame.positions.size(), weights);
+    const oracle::TapeGraph graph = oracle::build_graph(tape, model, frame);
+    const ad::Var frame_loss = oracle::loss(tape, graph.energy, frame.energy,
+                                            graph.forces, frame.forces,
+                                            frame.positions.size(), weights);
     const auto grads = tape.gradient(frame_loss, graph.params);
     std::vector<double> grad(params.size());
     for (std::size_t p = 0; p < grad.size(); ++p) grad[p] = grads[p].value();

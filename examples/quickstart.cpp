@@ -10,6 +10,7 @@
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 
+#include "dp/potential.hpp"
 #include "dp/trainer.hpp"
 #include "md/simulation.hpp"
 
@@ -54,7 +55,8 @@ int main() {
   // --- 3. use the model --------------------------------------------------
   std::printf("\n== predicting a held-out frame ==\n");
   const md::Frame& frame = data.validation.frame(0);
-  const md::ForceEnergy prediction = trainer.model().energy_forces(frame);
+  const md::ForceEnergy prediction =
+      dp::Potential::borrow(trainer.model()).evaluate(frame);
   std::printf("  reference energy %.3f eV, predicted %.3f eV\n", frame.energy,
               prediction.energy);
   std::printf("  atom 0 force: reference (%.2f, %.2f, %.2f), predicted"

@@ -40,27 +40,29 @@ obs::Counter& pairs_counter() {
 }  // namespace
 
 void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
-                          const NeighborTopology& topology, FrameGeometry& out) {
+                          const md::NeighborList& list, FrameGeometry& out) {
   const std::vector<md::Species>& types = model.types();
   const std::size_t n = types.size();
   if (frame.positions.size() != n) {
     throw util::ValueError("fast_graph: frame atom count does not match model");
   }
-  if (topology.entries.size() != n) {
-    throw util::ValueError("fast_graph: topology atom count does not match model");
+  if (list.size() != n) {
+    throw util::ValueError("fast_graph: neighbor list atom count does not match model");
   }
-  const double rcut = model.spec().descriptor.rcut;
+  const SwitchingFunction& switching = model.switching();
+  const double rcut = switching.rcut();
+  if (list.cutoff() != rcut) {
+    throw util::ValueError("fast_graph: neighbor list cutoff does not match model rcut");
+  }
   out.num_atoms = n;
 
   // Count pairs per embedding net, prefix-sum into offsets, then fill.  The
-  // distance filter must match build_graph exactly (strict r < rcut).
+  // count must apply store_pair's exact filter (r < switching.rcut()).
   out.net_offsets.assign(kNets + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
-      if (md::norm(d) >= rcut) continue;
-      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[entry.j]) + 1];
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      if (md::norm(nb.displacement) >= rcut) continue;
+      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[nb.index]) + 1];
     }
   }
   for (std::size_t net = 0; net < kNets; ++net) {
@@ -68,25 +70,16 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
   }
   out.resize_pairs(out.net_offsets.back());
 
-  const SwitchingFunction& switching = model.switching();
   std::array<std::uint32_t, kNets> cursor;
   std::copy_n(out.net_offsets.begin(), kNets, cursor.begin());
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
-      const double r = md::norm(d);
-      if (r >= rcut) continue;
-      const std::size_t net = DeepPotModel::pair_index(types[i], types[entry.j]);
-      const std::uint32_t p = cursor[net]++;
-      out.center[p] = static_cast<std::uint32_t>(i);
-      out.j[p] = static_cast<std::uint32_t>(entry.j);
-      out.r[p] = r;
-      out.s[p] = switching.value(r);
-      out.ds_dr[p] = switching.derivative(r);
-      out.ux[p] = d[0] / r;
-      out.uy[p] = d[1] / r;
-      out.uz[p] = d[2] / r;
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      const std::size_t net = DeepPotModel::pair_index(types[i], types[nb.index]);
+      if (out.store_pair(cursor[net], static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(nb.index), nb.displacement,
+                         switching)) {
+        ++cursor[net];
+      }
     }
   }
 }
@@ -238,7 +231,7 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   }
 
   // Fitting forward; per-frame atomic energies accumulate in atom order
-  // (matching the tape's summation order).
+  // (matching the tape oracle's summation order).
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
     const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
     if (atoms == 0) continue;

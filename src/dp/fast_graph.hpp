@@ -1,13 +1,16 @@
-// Analytic fused forward/backward kernels for DeepPot-SE training.
+// Analytic fused forward/backward kernels for DeepPot-SE.  Together with
+// dp::MdSession's chunked MD form of the primal pass (dp/md_session.hpp),
+// they are the only code in the shipped binaries that evaluates or
+// differentiates the model.
 //
-// The tape path (DeepPotModel::build_graph + ad::Tape) allocates one heap
-// node per scalar multiply, per neighbor, per atom, per frame, per step.
-// FastGraph computes the same three quantities with hand-derived kernels
-// over contiguous batches and a reusable arena, performing zero per-neighbor
-// heap allocations in steady state:
+// DeePMD-kit trains through TensorFlow's double backprop; an autodiff tape
+// would allocate one node per scalar multiply, per neighbor, per atom, per
+// frame, per step.  FastGraph computes the same quantities with
+// hand-derived kernels over contiguous batches and a reusable arena,
+// performing zero per-neighbor heap allocations in steady state:
 //
 //   * energy and forces (F = -dE/dx) -- one batched forward plus one
-//     analytic reverse sweep (inference: dp_test, MD, validation RMSE);
+//     analytic reverse sweep (inference: dp_test, dp_serve, validation);
 //   * the full parameter gradient of the DeePMD loss, including the
 //     second-order force term dF/dtheta = -d2E/(dx dtheta), via
 //     forward-over-reverse: a tangent (dual-number) pass in the coordinate
@@ -28,8 +31,9 @@
 // accumulates the complete per-frame loss gradient and the reverse pass
 // never touches parameters (DESIGN.md section 13).
 //
-// The tape remains the differentiation oracle: TrainerOptions::backward_mode
-// selects between the two, and the parity test-suite holds them to agree.
+// An autodiff tape is kept only as a test-only oracle
+// (tests/support/tape_oracle): the parity suites hold these kernels to agree
+// with plain autodiff.
 #pragma once
 
 #include <cstdint>
@@ -38,48 +42,84 @@
 
 #include "dp/loss.hpp"
 #include "dp/model.hpp"
+#include "md/neighbor.hpp"
 #include "md/potential.hpp"
 #include "nn/mlp_kernels.hpp"
 
 namespace dpho::dp {
 
-/// Geometry-only quantities of one frame's in-cutoff pairs: invariant across
-/// training steps for a fixed candidate's r_cut, so the topology cache
-/// builds them once per dataset.  Storage is SoA, net-major (grouped by the
+/// The one pair layout of the DeepPot-SE kernels: the in-cutoff pairs of a
+/// frame (or, in dp::MdSession, of one chunk of center atoms) with their
+/// geometry-only quantities.  Training frames are static, so the trainer
+/// builds each frame's geometry once per training; MD sessions refresh
+/// theirs in place every step.  Storage is SoA, net-major (grouped by the
 /// (center species, neighbor species) embedding net); within a net the order
-/// is (center atom, neighbor list order), so every sweep over pairs is
+/// is fixed by the caller's pair walk, so every sweep over pairs is
 /// deterministic.  Pair p of net e occupies index net_offsets[e] + p of
-/// every array.
+/// every array; arrays may be longer than the net_offsets.back() pairs in
+/// use (MD sizes them to the candidate count).
 struct FrameGeometry {
   std::vector<std::uint32_t> center;  // atom i
   std::vector<std::uint32_t> j;       // neighbor atom index
-  std::vector<double> r;              // |x_j + shift - x_i|
+  std::vector<double> r;              // |d|, d = minimum-image x_j - x_i
   std::vector<double> s;              // switching value s(r)
   std::vector<double> ds_dr;          // s'(r)
-  std::vector<double> ux, uy, uz;     // unit vector (x_j + shift - x_i)/r
+  std::vector<double> ux, uy, uz;     // unit vector d / r
   std::vector<std::uint32_t> net_offsets;  // kNumSpecies^2 + 1 entries
   std::size_t num_atoms = 0;
 
-  std::size_t size() const { return center.size(); }
+  std::size_t size() const { return net_offsets.empty() ? 0 : net_offsets.back(); }
   std::size_t net_count(std::size_t net) const {
     return net_offsets[net + 1] - net_offsets[net];
   }
-  void resize_pairs(std::size_t count) {
-    center.resize(count);
-    j.resize(count);
-    r.resize(count);
-    s.resize(count);
-    ds_dr.resize(count);
-    ux.resize(count);
-    uy.resize(count);
-    uz.resize(count);
+
+  /// Sizes every pair array to `count`.  With `headroom`, capacity grows by
+  /// an extra eighth, so counts that fluctuate around a steady value (MD
+  /// skeleton rebuilds) stop allocating once warm.
+  void resize_pairs(std::size_t count, bool headroom = false) {
+    const auto fit = [&](auto& column) {
+      if (headroom && column.capacity() < count) {
+        column.reserve(count + count / 8 + 64);
+      }
+      column.resize(count);
+    };
+    fit(center);
+    fit(j);
+    fit(r);
+    fit(s);
+    fit(ds_dr);
+    fit(ux);
+    fit(uy);
+    fit(uz);
+  }
+
+  /// Writes pair `p` -- center i, neighbor j at minimum-image displacement
+  /// d = x_j - x_i -- when |d| < rcut (strictly: a pair at the cutoff
+  /// contributes nothing), and returns whether it did.  The one place pair
+  /// geometry is derived.
+  bool store_pair(std::size_t p, std::uint32_t i, std::uint32_t neighbor,
+                  const md::Vec3& d, const SwitchingFunction& switching) {
+    const double dist = md::norm(d);
+    if (dist >= switching.rcut()) return false;
+    center[p] = i;
+    j[p] = neighbor;
+    r[p] = dist;
+    s[p] = switching.value(dist);
+    ds_dr[p] = switching.derivative(dist);
+    ux[p] = d[0] / dist;
+    uy[p] = d[1] / dist;
+    uz[p] = d[2] / dist;
+    return true;
   }
 };
 
-/// Builds (into a reusable buffer) the geometry of `frame` under the model's
-/// cutoff, applying the same r < rcut filter as the model's graph build.
+/// Builds (into a reusable buffer) the geometry of `frame` from its neighbor
+/// list, reading each row's minimum-image displacement directly.  `list`
+/// must be the frame's list at the model's cutoff
+/// (DeepPotModel::build_topology); throws util::ValueError when its atom
+/// count or cutoff does not match the model.
 void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
-                          const NeighborTopology& topology, FrameGeometry& out);
+                          const md::NeighborList& list, FrameGeometry& out);
 
 /// One frame of a fused loss-gradient batch: its geometry plus the training
 /// labels.  The geometry pointer must outlive the call.
@@ -128,15 +168,14 @@ class FastGraph {
   /// grouping and flat parameter offsets are derived once here.
   explicit FastGraph(const DeepPotModel& model);
 
-  /// Tape-free energy + forces.
+  /// Energy + forces.
   md::ForceEnergy energy_forces(const FrameGeometry& geometry,
                                 FastWorkspace& workspace) const;
 
   /// DeePMD per-frame loss and its full analytic parameter gradient
   /// (written into `grad`, sized model.num_params(); overwritten, not
-  /// accumulated).  Matches the tape path's
-  /// gradient(loss(build_graph(...)), params) to rounding.  Equivalent to a
-  /// one-frame loss_and_grad_fused call.
+  /// accumulated).  Matches the tape oracle's double-backprop gradient to
+  /// rounding.  Equivalent to a one-frame loss_and_grad_fused call.
   double loss_and_grad(const FrameGeometry& geometry, double energy_ref,
                        std::span<const md::Vec3> forces_ref,
                        const LossWeights& weights, FastWorkspace& workspace,

@@ -1,8 +1,5 @@
 #include "dp/loss.hpp"
 
-#include "md/system.hpp"
-#include "util/error.hpp"
-
 namespace dpho::dp {
 
 DeepmdLoss::DeepmdLoss(const LossConfig& config, nn::ExponentialDecay schedule)
@@ -13,29 +10,6 @@ LossWeights DeepmdLoss::weights_at(std::size_t step) const {
   const nn::LossPrefactorSchedule pe(config_.start_pref_e, config_.limit_pref_e);
   const nn::LossPrefactorSchedule pf(config_.start_pref_f, config_.limit_pref_f);
   return LossWeights{pe.at(ratio), pf.at(ratio)};
-}
-
-ad::Var DeepmdLoss::build(ad::Tape& tape, ad::Var energy_pred, double energy_ref,
-                          std::span<const ad::Var> forces_pred,
-                          std::span<const md::Vec3> forces_ref, std::size_t n_atoms,
-                          const LossWeights& weights) const {
-  if (forces_pred.size() != 3 * forces_ref.size()) {
-    throw util::ValueError("loss: force spans disagree");
-  }
-  const double inv_n = 1.0 / static_cast<double>(n_atoms);
-  const ad::Var de = (energy_pred - energy_ref) * inv_n;
-  ad::Var loss = weights.pref_e * de * de;
-
-  ad::Var force_ss = tape.constant(0.0);
-  for (std::size_t a = 0; a < forces_ref.size(); ++a) {
-    for (std::size_t k = 0; k < 3; ++k) {
-      const ad::Var df = forces_pred[a * 3 + k] - forces_ref[a][k];
-      force_ss = force_ss + df * df;
-    }
-  }
-  const double inv_3n = 1.0 / (3.0 * static_cast<double>(forces_ref.size()));
-  loss = loss + weights.pref_f * force_ss * inv_3n;
-  return loss;
 }
 
 }  // namespace dpho::dp

@@ -9,11 +9,7 @@
 // learning rate decays (paper section 2.2.1).
 #pragma once
 
-#include <span>
-
-#include "ad/tape.hpp"
 #include "dp/config.hpp"
-#include "md/system.hpp"
 #include "nn/schedule.hpp"
 
 namespace dpho::dp {
@@ -24,24 +20,12 @@ struct LossWeights {
   double pref_f = 0.0;
 };
 
-/// Plain-double loss components (validation metrics).
-struct LossTerms {
-  double energy_mse_per_atom = 0.0;  // (dE/N)^2 averaged over frames
-  double force_mse = 0.0;            // |dF|^2/(3N) averaged over frames
-};
-
 class DeepmdLoss {
  public:
   DeepmdLoss(const LossConfig& config, nn::ExponentialDecay schedule);
 
   /// Prefactors at training step `step`.
   LossWeights weights_at(std::size_t step) const;
-
-  /// Builds the differentiable per-frame loss.
-  ad::Var build(ad::Tape& tape, ad::Var energy_pred, double energy_ref,
-                std::span<const ad::Var> forces_pred,
-                std::span<const md::Vec3> forces_ref, std::size_t n_atoms,
-                const LossWeights& weights) const;
 
   const nn::ExponentialDecay& schedule() const { return schedule_; }
 

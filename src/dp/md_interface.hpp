@@ -4,7 +4,7 @@
 // MD at near-first-principles accuracy (section 1).  This adapter exposes a
 // trained DeepPotModel as an md::ForceProvider so the velocity-Verlet
 // integrator can propagate on the learned surface.  Because forces are exact
-// autodiff gradients of the learned energy and the descriptor is smooth at
+// analytic gradients of the learned energy and the descriptor is smooth at
 // the cutoff, NVE dynamics on the model conserves energy to integrator
 // error -- which the test-suite verifies (the force-consistency property
 // section 3.2 calls out as critical for stable dynamics).

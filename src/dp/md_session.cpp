@@ -103,6 +103,8 @@ void MdSession::initialize(const md::SystemState& state) {
     }
 
     Chunk& ch = chunks_[c];
+    ch.geometry.num_atoms = num_atoms_;
+    ch.geometry.net_offsets.assign(kNets + 1, 0);
     ch.t.resize(chunk_n * m1_ * 4);
     ch.t_bar.resize(chunk_n * m1_ * 4);
     for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
@@ -161,68 +163,37 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
               cand_.begin() + static_cast<std::ptrdiff_t>(cand_off_[b + 1]));
   }
   // Size each chunk's live-pair arrays to its candidate total (upper bound
-  // of the live count; grow-only).
+  // of the live count; grow-only, with headroom).
   for (std::size_t c = 0; c < num_chunks_; ++c) {
-    Chunk& ch = chunks_[c];
-    const std::size_t cand_count =
-        cand_off_[(c + 1) * kNets] - cand_off_[c * kNets];
-    if (ch.center.capacity() < cand_count) {
-      const std::size_t reserve = cand_count + cand_count / 8 + 64;
-      ch.center.reserve(reserve);
-      ch.j.reserve(reserve);
-      ch.r.reserve(reserve);
-      ch.s.reserve(reserve);
-      ch.ds_dr.reserve(reserve);
-      ch.ux.reserve(reserve);
-      ch.uy.reserve(reserve);
-      ch.uz.reserve(reserve);
-    }
-    ch.center.resize(cand_count);
-    ch.j.resize(cand_count);
-    ch.r.resize(cand_count);
-    ch.s.resize(cand_count);
-    ch.ds_dr.resize(cand_count);
-    ch.ux.resize(cand_count);
-    ch.uy.resize(cand_count);
-    ch.uz.resize(cand_count);
+    chunks_[c].geometry.resize_pairs(
+        cand_off_[(c + 1) * kNets] - cand_off_[c * kNets], /*headroom=*/true);
   }
 }
 
 void MdSession::refresh_chunk(std::size_t c, const md::SystemState& state) {
-  Chunk& ch = chunks_[c];
+  FrameGeometry& geometry = chunks_[c].geometry;
   const std::vector<md::Vec3>& pos = state.positions;
   const SwitchingFunction& switching = model_->switching();
-  const double rcut = cutoff();
   std::uint32_t cursor = 0;
-  ch.net_off[0] = 0;
   for (std::size_t e = 0; e < kNets; ++e) {
     const std::size_t bucket = c * kNets + e;
     for (std::size_t k = cand_off_[bucket]; k < cand_off_[bucket + 1]; ++k) {
       const std::uint64_t packed = cand_[k];
       const auto i = static_cast<std::uint32_t>(packed >> 32);
       const auto jj = static_cast<std::uint32_t>(packed & 0xffffffffu);
-      const md::Vec3 d = box_.displacement(pos[i], pos[jj]);
-      const double r = md::norm(d);
-      // Strict r < rcut filter, matching build_frame_geometry.
-      if (r >= rcut) continue;
-      ch.center[cursor] = i;
-      ch.j[cursor] = jj;
-      ch.r[cursor] = r;
-      ch.s[cursor] = switching.value(r);
-      ch.ds_dr[cursor] = switching.derivative(r);
-      ch.ux[cursor] = d[0] / r;
-      ch.uy[cursor] = d[1] / r;
-      ch.uz[cursor] = d[2] / r;
-      ++cursor;
+      if (geometry.store_pair(cursor, i, jj, box_.displacement(pos[i], pos[jj]),
+                              switching)) {
+        ++cursor;
+      }
     }
-    ch.net_off[e + 1] = cursor;
+    geometry.net_offsets[e + 1] = cursor;
   }
-  ch.live_pairs = cursor;
 }
 
 void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
   refresh_chunk(c, state);
   Chunk& ch = chunks_[c];
+  const FrameGeometry& geo = ch.geometry;
   const DeepPotModel& model = *model_;
   const std::vector<md::Species>& types = model.types();
   const std::size_t lo = chunk_begin_[c];
@@ -234,23 +205,23 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
   // T_i[m][c] = nu * sum_j g_j[m] R_j[c].
   ch.t.assign(ch.t.size(), 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
-    const std::size_t begin = ch.net_off[net];
-    const std::size_t total = ch.net_off[net + 1] - begin;
+    const std::size_t begin = geo.net_offsets[net];
+    const std::size_t total = geo.net_offsets[net + 1] - begin;
     for (std::size_t tile = 0; tile < total; tile += kTileRows) {
       const std::size_t rows = std::min(kTileRows, total - tile);
       const std::size_t base = begin + tile;
       ch.tile_x.resize(rows);
-      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = ch.s[base + p];
+      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = geo.s[base + p];
       nn::mlp_forward_batch(model.embedding_net(net), ch.tile_x, rows,
                             ch.tile_cache, nn::Curvature::kNone);
       const std::span<const double> g_all = ch.tile_cache.out();
       for (std::size_t p = 0; p < rows; ++p) {
         const std::size_t idx = base + p;
-        const double s = ch.s[idx];
-        const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
-                                s * ch.uz[idx]};
+        const double s = geo.s[idx];
+        const double row4[4] = {s, s * geo.ux[idx], s * geo.uy[idx],
+                                s * geo.uz[idx]};
         const double* g = g_all.data() + p * m1_;
-        double* tblock = ch.t.data() + (ch.center[idx] - lo) * m1_ * 4;
+        double* tblock = ch.t.data() + (geo.center[idx] - lo) * m1_ * 4;
         for (std::size_t m = 0; m < m1_; ++m) {
           const double gm = nu * g[m];
           for (std::size_t k = 0; k < 4; ++k) tblock[m * 4 + k] += gm * row4[k];
@@ -332,23 +303,23 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
   // with dbar flowing +into atom j and -into the center atom.
   std::fill(ch.coord_bar.begin(), ch.coord_bar.end(), 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
-    const std::size_t begin = ch.net_off[net];
-    const std::size_t total = ch.net_off[net + 1] - begin;
+    const std::size_t begin = geo.net_offsets[net];
+    const std::size_t total = geo.net_offsets[net + 1] - begin;
     for (std::size_t tile = 0; tile < total; tile += kTileRows) {
       const std::size_t rows = std::min(kTileRows, total - tile);
       const std::size_t base = begin + tile;
       ch.tile_x.resize(rows);
-      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = ch.s[base + p];
+      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = geo.s[base + p];
       nn::mlp_forward_batch(model.embedding_net(net), ch.tile_x, rows,
                             ch.tile_cache, nn::Curvature::kNone);
       const std::span<const double> g_all = ch.tile_cache.out();
       ch.tile_out_bar.resize(rows * m1_);
       for (std::size_t p = 0; p < rows; ++p) {
         const std::size_t idx = base + p;
-        const double s = ch.s[idx];
-        const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
-                                s * ch.uz[idx]};
-        const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
+        const double s = geo.s[idx];
+        const double row4[4] = {s, s * geo.ux[idx], s * geo.uy[idx],
+                                s * geo.uz[idx]};
+        const double* tbar = ch.t_bar.data() + (geo.center[idx] - lo) * m1_ * 4;
         double* gbar = ch.tile_out_bar.data() + p * m1_;
         for (std::size_t m = 0; m < m1_; ++m) {
           double acc = 0.0;
@@ -361,8 +332,8 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
                              ch.tile_cache, ch.tile_out_bar, ch.tile_x_bar, {});
       for (std::size_t p = 0; p < rows; ++p) {
         const std::size_t idx = base + p;
-        const double u[3] = {ch.ux[idx], ch.uy[idx], ch.uz[idx]};
-        const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
+        const double u[3] = {geo.ux[idx], geo.uy[idx], geo.uz[idx]};
+        const double* tbar = ch.t_bar.data() + (geo.center[idx] - lo) * m1_ * 4;
         const double* g = g_all.data() + p * m1_;
         double rbar[4];
         for (std::size_t k = 0; k < 4; ++k) {
@@ -372,15 +343,15 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
         }
         const double sbar = ch.tile_x_bar[p] + rbar[0] + rbar[1] * u[0] +
                             rbar[2] * u[1] + rbar[3] * u[2];
-        const double s = ch.s[idx];
+        const double s = geo.s[idx];
         const double ubar[3] = {s * rbar[1], s * rbar[2], s * rbar[3]};
         const double ubar_dot_u =
             ubar[0] * u[0] + ubar[1] * u[1] + ubar[2] * u[2];
         for (std::size_t k = 0; k < 3; ++k) {
-          const double dbar = (ubar[k] - ubar_dot_u * u[k]) / ch.r[idx] +
-                              sbar * ch.ds_dr[idx] * u[k];
-          ch.coord_bar[3 * ch.j[idx] + k] += dbar;
-          ch.coord_bar[3 * ch.center[idx] + k] -= dbar;
+          const double dbar = (ubar[k] - ubar_dot_u * u[k]) / geo.r[idx] +
+                              sbar * geo.ds_dr[idx] * u[k];
+          ch.coord_bar[3 * geo.j[idx] + k] += dbar;
+          ch.coord_bar[3 * geo.center[idx] + k] -= dbar;
         }
       }
     }
@@ -427,7 +398,7 @@ double MdSession::compute(const md::SystemState& state,
   for (std::size_t c = 0; c < num_chunks_; ++c) {
     const Chunk& ch = chunks_[c];
     energy += ch.energy;
-    live_pairs += ch.live_pairs;
+    live_pairs += ch.geometry.size();
     const double* cb = ch.coord_bar.data();
     for (std::size_t i = 0; i < num_atoms_; ++i) {
       forces[i][0] -= cb[3 * i];

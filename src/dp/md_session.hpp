@@ -7,8 +7,10 @@
 // candidate skeleton and all kernel workspace alive across steps:
 //
 //   * topology (a md::VerletList at rcut + skin) is rebuilt only on skin
-//     triggers; between rebuilds each step refreshes r/s/ds_dr/unit vectors
-//     in place from the stale pair identities;
+//     triggers; between rebuilds each step refreshes every chunk's
+//     dp::FrameGeometry (the kernels' one pair layout, filled by the same
+//     FrameGeometry::store_pair as training frames) in place from the stale
+//     pair identities;
 //   * the force kernel is the same math as dp::FastGraph's primal pass
 //     (embedding forward -> T contraction -> descriptor -> fitting forward/
 //     reverse -> embedding reverse + force assembly), restructured over
@@ -33,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "dp/fast_graph.hpp"
 #include "dp/model.hpp"
 #include "md/box.hpp"
 #include "md/neighbor.hpp"
@@ -69,12 +72,10 @@ class MdSession final : public md::PotentialSession {
   static constexpr std::size_t kTileRows = 4096;
 
   struct Chunk {
-    // Live pair geometry (net-major, refreshed in place each step).  Arrays
-    // are sized to the candidate count at skeleton rebuilds; net_off tracks
-    // the live prefix actually filled this step.
-    std::vector<std::uint32_t> center, j;
-    std::vector<double> r, s, ds_dr, ux, uy, uz;
-    std::array<std::uint32_t, kNets + 1> net_off{};
+    // Live pairs of this chunk's centers (net-major, refreshed in place each
+    // step).  Arrays are sized to the candidate count at skeleton rebuilds;
+    // net_offsets tracks the live prefix actually filled this step.
+    FrameGeometry geometry;
 
     // Per-atom T blocks of this chunk's atoms (chunk-local, m1 x 4 each).
     std::vector<double> t, t_bar;
@@ -92,7 +93,6 @@ class MdSession final : public md::PotentialSession {
     // Full-3N coordinate adjoints from this chunk's centers.
     std::vector<double> coord_bar;
     double energy = 0.0;
-    std::size_t live_pairs = 0;
   };
 
   void initialize(const md::SystemState& state);

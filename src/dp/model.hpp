@@ -11,35 +11,29 @@
 //     T_i  = (1/sel) sum_j g_ij^T R_ij               (M1 x 4)
 //     D_i  = T_i T2_i^T, T2 = first M2 rows of T_i   (M1 x M2 descriptor)
 //     E_i  = Fit_{t_i}(vec(D_i)) + bias_{t_i}
-//   E = sum_i E_i,  F = -dE/dx (by autodiff)
+//   E = sum_i E_i,  F = -dE/dx
 //
 // The descriptor is invariant to translation, rigid rotation, and permutation
 // of like atoms, and smooth as neighbors enter/leave the cutoff sphere; the
 // test-suite verifies each of those properties.
+//
+// This class holds the architecture, the parameters and their serialization.
+// Evaluation and differentiation live in one place, the analytic kernels:
+// dp::Potential / dp::FastGraph (dp/potential.hpp, dp/fast_graph.hpp) for
+// frames and training, dp::MdSession (dp/md_session.hpp) for MD.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ad/tape.hpp"
 #include "dp/config.hpp"
 #include "dp/model_spec.hpp"
 #include "dp/switching.hpp"
 #include "md/dataset.hpp"
-#include "md/potential.hpp"
+#include "md/neighbor.hpp"
 #include "nn/mlp.hpp"
 
 namespace dpho::dp {
-
-/// Fixed neighbor topology of one frame: for each atom, its neighbors and the
-/// constant periodic-image shift such that displacement = (x_j + shift) - x_i.
-struct NeighborTopology {
-  struct Entry {
-    std::size_t j = 0;
-    md::Vec3 shift{};
-  };
-  std::vector<std::vector<Entry>> entries;
-};
 
 /// The trainable potential.
 class DeepPotModel {
@@ -61,40 +55,9 @@ class DeepPotModel {
   std::vector<double> gather_params() const;
   void scatter_params(std::span<const double> params);
 
-  /// Neighbor topology for a frame (uses the frame's own box length).
-  NeighborTopology build_topology(const md::Frame& frame) const;
-
-  /// Fast double-only energy prediction.
-  double energy(const md::Frame& frame) const;
-
-  /// Energy + forces via first-order reverse-mode autodiff.
-  md::ForceEnergy energy_forces(const md::Frame& frame) const;
-
-  /// As above, reusing a precomputed topology of the same frame (frames are
-  /// static during training, so the trainer caches topologies per dataset).
-  md::ForceEnergy energy_forces(const md::Frame& frame,
-                                const NeighborTopology& topology) const;
-
-  /// Full differentiable graph for one frame: used by the trainer, which
-  /// needs gradients of a force-containing loss with respect to parameters.
-  struct FrameGraph {
-    ad::Var energy;                  // total predicted energy
-    std::vector<ad::Var> forces;     // 3*N flattened predicted forces
-    std::vector<ad::Var> params;     // bound parameters (gather_params order)
-  };
-  FrameGraph build_graph(ad::Tape& tape, const md::Frame& frame) const;
-
-  /// As above with a precomputed topology.  Const and free of hidden shared
-  /// state, so concurrent calls on distinct tapes are safe (the trainer's
-  /// data-parallel gradient path relies on this).
-  FrameGraph build_graph(ad::Tape& tape, const md::Frame& frame,
-                         const NeighborTopology& topology) const;
-
-  /// Tape-based reference implementation of energy_forces.  The analytic
-  /// fast path (dp/fast_graph.hpp) is the default; this stays as the
-  /// differentiation oracle for parity tests and backward_mode=tape.
-  md::ForceEnergy energy_forces_tape(const md::Frame& frame,
-                                     const NeighborTopology& topology) const;
+  /// The frame's CSR neighbor list at the model's cutoff (the frame's own
+  /// box length); throws util::ValueError when the atom count does not match.
+  md::NeighborList build_topology(const md::Frame& frame) const;
 
   /// Serialization (the dp_train tool writes a model checkpoint).  The
   /// checkpoint stores the architecture as a "spec" block; load() also
@@ -102,7 +65,7 @@ class DeepPotModel {
   util::Json save() const;
   static DeepPotModel load(const util::Json& json);
 
-  // -- read-only internals for the analytic fast path (dp/fast_graph.hpp) --
+  // -- read-only internals for the analytic kernels (dp/fast_graph.hpp) --
   /// Flat index of the embedding net serving a (center, neighbor) pair.
   static std::size_t pair_index(md::Species center, md::Species neighbor) {
     return static_cast<std::size_t>(center) * md::kNumSpecies +
@@ -116,11 +79,6 @@ class DeepPotModel {
   double energy_bias_per_atom() const { return energy_bias_per_atom_; }
 
  private:
-  const nn::Mlp& embedding(md::Species center, md::Species neighbor) const;
-  nn::Mlp& embedding(md::Species center, md::Species neighbor);
-  const nn::Mlp& fitting(md::Species center) const;
-  nn::Mlp& fitting(md::Species center);
-
   ModelSpec spec_;
   std::vector<md::Species> types_;
   double energy_bias_per_atom_ = 0.0;

@@ -31,13 +31,9 @@ Potential Potential::load_file(const std::string& path) {
 }
 
 md::ForceEnergy Potential::evaluate(const md::Frame& frame) const {
-  return evaluate(frame, model_->build_topology(frame));
-}
-
-md::ForceEnergy Potential::evaluate(const md::Frame& frame,
-                                    const NeighborTopology& topology) const {
   EvalScratch& scratch = scratch_->local();
-  build_frame_geometry(*model_, frame, topology, scratch.geometry);
+  build_frame_geometry(*model_, frame, model_->build_topology(frame),
+                       scratch.geometry);
   return graph_.energy_forces(scratch.geometry, scratch.workspace);
 }
 

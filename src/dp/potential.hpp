@@ -1,21 +1,17 @@
 // The one evaluation entry point for a trained DeepPot-SE potential.
 //
-// Training builds DeepPotModel instances three different ways and every
-// consumer used to reach into the model directly: dp_test through
-// energy_forces, MD through make_force_provider, validation through the
-// trainer's private helpers.  Potential collapses those into a single API --
-// load a model (from a checkpoint document, a file, or an HPO run archive via
-// dp::ModelArchive) and call evaluate() -- that always takes the analytic
-// primal path (dp::FastGraph forward + reverse, no tape, no gradient
-// buffers), with per-thread geometry/workspace arenas so concurrent callers
-// never contend and steady-state evaluation performs no allocations.
+// Load a model (from a checkpoint document, a file, or an HPO run archive via
+// dp::ModelArchive) and call evaluate(): a thin call into the analytic
+// primal path (neighbor list -> dp::FrameGeometry -> dp::FastGraph forward +
+// reverse, no gradient buffers), with per-thread geometry/workspace arenas so
+// concurrent callers never contend.  dp_test, dp_serve and the tests
+// evaluate frames through it; MD sessions come from make_md_session().
 //
 // Ownership: a Potential normally owns its model (shared, so copies of the
 // Potential are cheap and a serving cache can hand out references safely).
-// Potential::borrow wraps a model owned elsewhere -- the trainer borrows the
-// model it is mutating for its validation pass; parameter updates through the
-// model are visible to the borrowed Potential because FastGraph reads the
-// parameters on every call.
+// Potential::borrow wraps a model owned elsewhere; parameter updates through
+// the model are visible to the borrowed Potential because FastGraph reads
+// the parameters on every call.
 #pragma once
 
 #include <memory>
@@ -55,13 +51,8 @@ class Potential {
   const ModelSpec& spec() const { return model_->spec(); }
   std::size_t num_atoms() const { return model_->num_atoms(); }
 
-  /// Analytic energy + forces for one frame (topology built here).
+  /// Analytic energy + forces for one frame.
   md::ForceEnergy evaluate(const md::Frame& frame) const;
-
-  /// As above with a precomputed topology of the same frame (the trainer's
-  /// validation pass reuses its per-dataset topology cache).
-  md::ForceEnergy evaluate(const md::Frame& frame,
-                           const NeighborTopology& topology) const;
 
   /// Batch evaluation in frame order.  With a pool, frames are evaluated
   /// concurrently on per-thread arenas; results are index-ordered and

@@ -29,17 +29,4 @@ double SwitchingFunction::derivative(double r) const {
   return dblend / r - blend / (r * r);
 }
 
-ad::Var SwitchingFunction::value(ad::Var r) const {
-  const double rv = r.value();
-  ad::Tape& tape = *r.tape();
-  if (rv >= rcut_) return tape.constant(0.0);
-  if (rv < rcut_smth_) return 1.0 / r;
-  const double width = rcut_ - rcut_smth_;
-  const ad::Var x = (r - rcut_smth_) / width;
-  const ad::Var x2 = x * x;
-  const ad::Var x3 = x2 * x;
-  const ad::Var blend = x3 * (-6.0 * x2 + 15.0 * x - 10.0) + 1.0;
-  return blend / r;
-}
-
 }  // namespace dpho::dp

@@ -11,8 +11,6 @@
 // continuously differentiable as neighbors cross the cutoff sphere.
 #pragma once
 
-#include "ad/tape.hpp"
-
 namespace dpho::dp {
 
 /// Value/derivative pair of the switching function.
@@ -25,10 +23,6 @@ struct SwitchingFunction {
 
   double value(double r) const;
   double derivative(double r) const;
-
-  /// Tape version; `r` must carry a value inside (0, rcut) -- callers skip
-  /// out-of-range neighbors before building graph nodes.
-  ad::Var value(ad::Var r) const;
 
  private:
   double rcut_;

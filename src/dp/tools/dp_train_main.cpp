@@ -7,15 +7,11 @@
 //
 //   dp_train <input.json> <train_data_dir> <validation_data_dir>
 //            [--out DIR] [--wall-limit SECONDS] [--threads N]
-//            [--metrics-out FILE] [--backward-mode tape|analytic]
-//            [--fuse-frames K] [--archive DIR] [--model-id ID]
+//            [--metrics-out FILE] [--archive DIR] [--model-id ID]
 //
+// Gradients come from the analytic fused kernels (dp/fast_graph.hpp).
 // --threads enables data-parallel gradient accumulation (0/1 = serial); the
 // lcurve is bit-identical across thread counts for a fixed seed.
-// --fuse-frames sets how many frames each fused analytic kernel pass stacks
-// (default 4; the lcurve depends on this value, not on --threads).
-// --backward-mode selects the gradient engine: the analytic fused kernels
-// (default) or the scalar-tape autodiff oracle.
 // --metrics-out streams the JSONL event timeline (trainer.row events) to
 // FILE and writes metrics_summary.json into --out on exit.
 // --archive appends the trained model (with its validation RMSEs as
@@ -23,7 +19,6 @@
 // --model-id names the catalog row (default "model").
 // Outputs (in --out, default "."): lcurve.out, model.json.
 // Exit codes: 0 success, 2 bad usage, 3 timeout, 4 diverged/failed training.
-#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -42,8 +37,6 @@ int main(int argc, char** argv) {
   util::ArgParser args;
   args.add_flag("--out", "output directory for lcurve.out/model.json, default .")
       .add_flag("--wall-limit", "hard wall-clock budget in seconds")
-      .add_flag("--backward-mode", "gradient engine: analytic (default) or tape")
-      .add_flag("--fuse-frames", "frames per fused analytic kernel pass, default 4")
       .add_flag("--archive", "append the trained model to this dp::ModelArchive")
       .add_flag("--model-id", "catalog id for --archive, default 'model'")
       .add_flag("--help", "show this message", false);
@@ -61,15 +54,6 @@ int main(int argc, char** argv) {
   try {
     args.parse(argc, argv);
     backend = util::parse_backend_flags(args, backend_options);
-    if (args.has("--backward-mode")) {
-      options.backward_mode =
-          dp::parse_backward_mode(args.get("--backward-mode", std::string()));
-    }
-    if (args.has("--fuse-frames")) {
-      const std::int64_t fuse = args.get("--fuse-frames", std::int64_t{4});
-      if (fuse < 1) throw util::ValueError("--fuse-frames must be >= 1");
-      options.fuse_frames = static_cast<std::size_t>(fuse);
-    }
   } catch (const std::exception& e) {
     std::cerr << "dp_train: " << e.what() << "\n" << usage_text;
     return 2;

@@ -7,24 +7,21 @@
 // bit-identical for a given seed at ANY thread count: the data-parallel path
 // evaluates gradient groups concurrently but assigns frames to fused groups
 // by batch index alone and reduces the group buffers in fixed order (see
-// hpc/parallel.hpp for why that matters for floats).  Results DO depend on
-// TrainerOptions::fuse_frames (it changes summation grouping), which is why
-// it is an explicit option rather than derived from the worker count.
+// hpc/parallel.hpp for why that matters for floats).  The fused group width
+// is a fixed constant of the trainer, never derived from the worker count.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <string_view>
+#include <vector>
 
 #include "dp/config.hpp"
 #include "dp/fast_graph.hpp"
 #include "dp/lcurve.hpp"
 #include "dp/model.hpp"
-#include "dp/potential.hpp"
-#include "dp/topology_cache.hpp"
+#include "dp/potential.hpp"  // evaluating the trained model: Potential::borrow(model())
 #include "hpc/scratch.hpp"
 #include "md/dataset.hpp"
 
@@ -43,42 +40,20 @@ struct TrainResult {
   LcurveWriter lcurve;
 };
 
-/// Which differentiation engine evaluates per-frame loss gradients.
-enum class BackwardMode {
-  kTape,      // scalar-tape autodiff: the slow reference oracle
-  kAnalytic,  // hand-derived fused kernels (dp/fast_graph.hpp)
-};
-
-std::string to_string(BackwardMode mode);
-/// Parses "tape" / "analytic"; throws util::ValueError otherwise.
-BackwardMode parse_backward_mode(std::string_view text);
-
 /// Options beyond the input.json config.
 struct TrainerOptions {
   /// Hard wall-clock budget in seconds; exceeded -> util::TimeoutError,
   /// matching the subprocess TimeoutError in the paper's workflow.
   std::optional<double> wall_limit_seconds;
-  /// How many validation frames to score per lcurve row (cost control).
-  std::size_t max_validation_frames = 8;
   /// Data-parallel gradient workers.  0 (or 1) = serial, preserving the
-  /// single-threaded behaviour; N > 1 = frames in a batch get their
-  /// forward/backward evaluated concurrently on an owned N-thread pool.
+  /// single-threaded behaviour; N > 1 = fused frame groups of a batch get
+  /// their gradients evaluated concurrently on an owned N-thread pool.
   std::size_t num_threads = 0;
   /// Injected shared pool; overrides num_threads when set (not owned; must
   /// outlive the trainer).  Lets co-located trainings -- e.g. the in-process
   /// evaluator under the task farm -- share one pool instead of
   /// oversubscribing cores.
   hpc::ThreadPool* pool = nullptr;
-  /// Differentiation engine for the gradient hot path.  The analytic kernels
-  /// are the default; kTape keeps the scalar-tape oracle for parity testing
-  /// and for debugging suspected kernel regressions (see DESIGN.md).
-  BackwardMode backward_mode = BackwardMode::kAnalytic;
-  /// How many frames each fused analytic gradient call stacks into one
-  /// batched kernel pass (clamped to the batch size; minimum 1).  The batch
-  /// is split into ceil(batch / fuse_frames) fixed groups by batch index, so
-  /// the lcurve depends on this value but NOT on the thread count.  Ignored
-  /// in tape mode.
-  std::size_t fuse_frames = 4;
 };
 
 class Trainer {
@@ -96,7 +71,7 @@ class Trainer {
   const DeepPotModel& model() const { return model_; }
 
  private:
-  /// Validation RMSEs over (at most) max_validation_frames frames.
+  /// Validation RMSEs over the cached validation frames.
   std::pair<double, double> validation_rmse() const;
 
   /// The pool gradient work runs on: injected > owned (num_threads > 1) >
@@ -110,17 +85,18 @@ class Trainer {
   DeepPotModel model_;
   std::unique_ptr<hpc::ThreadPool> owned_pool_;
   hpc::ThreadPool* pool_ = nullptr;  // resolved by gradient_pool()
-  TopologyCache train_topology_;
-  TopologyCache validation_topology_;
-  FastGraph fast_graph_;  // bound to model_; the analytic gradient engine
-  // Borrowed view of model_: validation predictions go through the same
-  // dp::Potential entry point serving and MD use (parameter updates through
-  // model_ are visible because the kernels read parameters per call).
-  Potential potential_;
+  // Frames never move during training: each training frame's geometry and
+  // the first validation frames' are built once per train() call (in
+  // parallel), so steps start straight at the embedding-net batches.
+  std::vector<FrameGeometry> train_geometry_;
+  std::vector<FrameGeometry> validation_geometry_;
+  // Bound to model_; gradients and validation predictions both run here
+  // (parameter updates are visible because the kernels read them per call).
+  FastGraph fast_graph_;
   // One reusable kernel arena per gradient worker thread.
   hpc::ThreadScratch<FastWorkspace> workspaces_;
-  // Preallocated per-step buffers for the fused analytic path (sized once in
-  // train(), reused every step -- no per-step gradient allocations).
+  // Preallocated per-step buffers for the fused gradient groups (sized once
+  // in train(), reused every step -- no per-step gradient allocations).
   std::vector<FrameTarget> frame_targets_;    // batch_size entries
   std::vector<double> frame_losses_;          // batch_size entries
   std::vector<std::vector<double>> group_grads_;  // num_groups x num_params

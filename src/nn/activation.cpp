@@ -47,18 +47,6 @@ double apply(Activation activation, double x) {
   throw util::ValueError("invalid activation enum");
 }
 
-ad::Var apply(Activation activation, ad::Var x) {
-  switch (activation) {
-    case Activation::kRelu: return relu(x);
-    case Activation::kRelu6: return relu6(x);
-    case Activation::kSoftplus: return softplus(x);
-    case Activation::kSigmoid: return sigmoid(x);
-    case Activation::kTanh: return tanh(x);
-    case Activation::kIdentity: return x;
-  }
-  throw util::ValueError("invalid activation enum");
-}
-
 double second_derivative(Activation activation, double x) {
   switch (activation) {
     case Activation::kRelu:

@@ -2,13 +2,12 @@
 //
 // The paper's genome selects the descriptor-network and fitting-network
 // activation functions from {"relu", "relu6", "softplus", "sigmoid", "tanh"}
-// (section 2.2.1).  Every one of them is implemented for both plain doubles
-// (fast inference) and tape variables (training with autodiff).
+// (section 2.2.1).  Each comes with its analytic first and second
+// derivatives, which the hand-derived training kernels (nn/mlp_kernels.hpp)
+// use in place of autodiff; the tests hold them to the tape oracle.
 #pragma once
 
 #include <string>
-
-#include "ad/tape.hpp"
 
 namespace dpho::nn {
 
@@ -26,16 +25,15 @@ Activation activation_from_string(const std::string& name);
 std::string to_string(Activation activation);
 
 double apply(Activation activation, double x);
-ad::Var apply(Activation activation, ad::Var x);
 
-/// Analytical first derivative (for the double-based fast path's tests).
+/// Analytical first derivative.
 double derivative(Activation activation, double x);
 
 /// Analytical second derivative.  The analytic training path needs it for the
 /// force-loss term (differentiating through F = -dE/dx differentiates every
 /// activation twice).  Kinked activations (relu, relu6) use the same
-/// subgradient convention as the tape: the step functions have derivative 0
-/// everywhere, so their second derivative is identically 0.
+/// subgradient convention as the tape oracle: the step functions have
+/// derivative 0 everywhere, so their second derivative is identically 0.
 double second_derivative(Activation activation, double x);
 
 }  // namespace dpho::nn

@@ -42,8 +42,7 @@ std::size_t Mlp::output_width() const { return layers_.back().out; }
 std::vector<double> Mlp::forward(std::span<const double> x) const {
   if (x.size() != input_width()) throw util::ValueError("mlp forward: bad input width");
   // One reservation at the widest layer keeps the ping-pong buffers from
-  // reallocating mid-pass (this runs once per neighbor per atom in the
-  // descriptor, so the allocator pressure is material).
+  // reallocating mid-pass.
   std::size_t max_width = x.size();
   for (const LayerSpec& layer : layers_) max_width = std::max(max_width, layer.out);
   std::vector<double> current;
@@ -65,76 +64,6 @@ std::vector<double> Mlp::forward(std::span<const double> x) const {
     current.swap(next);
     offset += layer.in * layer.out + layer.out;
   }
-  return current;
-}
-
-void Mlp::forward(std::span<const double> x, std::vector<double>& out,
-                  std::vector<double>& scratch) const {
-  if (x.size() != input_width()) throw util::ValueError("mlp forward: bad input width");
-  std::size_t max_width = x.size();
-  for (const LayerSpec& layer : layers_) max_width = std::max(max_width, layer.out);
-  scratch.resize(2 * max_width);
-  double* current = scratch.data();
-  double* next = scratch.data() + max_width;
-  std::copy(x.begin(), x.end(), current);
-  std::size_t offset = 0;
-  for (const LayerSpec& layer : layers_) {
-    const double* weights = params_.data() + offset;
-    const double* biases = weights + layer.in * layer.out;
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      double sum = biases[o];
-      const double* row = weights + o * layer.in;
-      for (std::size_t i = 0; i < layer.in; ++i) sum += row[i] * current[i];
-      next[o] = apply(layer.activation, sum);
-    }
-    std::swap(current, next);
-    offset += layer.in * layer.out + layer.out;
-  }
-  out.assign(current, current + output_width());
-}
-
-std::vector<ad::Var> Mlp::bind_params(ad::Tape& tape) const {
-  std::vector<ad::Var> bound;
-  bound.reserve(params_.size());
-  for (double p : params_) bound.push_back(tape.input(p));
-  return bound;
-}
-
-void Mlp::bind_params(ad::Tape& tape, std::vector<ad::Var>& out) const {
-  out.reserve(out.size() + params_.size());
-  for (double p : params_) out.push_back(tape.input(p));
-}
-
-std::vector<ad::Var> Mlp::forward(ad::Tape& tape, std::span<const ad::Var> bound_params,
-                                  std::span<const ad::Var> x) const {
-  if (bound_params.size() != params_.size()) {
-    throw util::ValueError("mlp forward: bound parameter count mismatch");
-  }
-  if (x.size() != input_width()) throw util::ValueError("mlp forward: bad input width");
-  std::size_t max_width = x.size();
-  for (const LayerSpec& layer : layers_) max_width = std::max(max_width, layer.out);
-  std::vector<ad::Var> current;
-  current.reserve(max_width);
-  current.assign(x.begin(), x.end());
-  std::vector<ad::Var> next;
-  next.reserve(max_width);
-  std::size_t offset = 0;
-  for (const LayerSpec& layer : layers_) {
-    next.clear();
-    next.reserve(layer.out);
-    const auto weights = bound_params.subspan(offset, layer.in * layer.out);
-    const auto biases = bound_params.subspan(offset + layer.in * layer.out, layer.out);
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      ad::Var sum = biases[o];
-      for (std::size_t i = 0; i < layer.in; ++i) {
-        sum = sum + weights[o * layer.in + i] * current[i];
-      }
-      next.push_back(apply(layer.activation, sum));
-    }
-    current.swap(next);
-    offset += layer.in * layer.out + layer.out;
-  }
-  (void)tape;
   return current;
 }
 

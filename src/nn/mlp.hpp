@@ -1,7 +1,7 @@
-// Multi-layer perceptron with two execution paths:
-//   * a fast plain-double forward pass for inference, and
-//   * a tape-bound forward pass producing ad::Var outputs for training
-//     (including force training, which differentiates through a gradient).
+// Multi-layer perceptron: layer shapes, one flat parameter vector and a
+// plain-double per-sample forward pass.  Training and batched inference run
+// the hand-derived batch kernels over the same parameters
+// (nn/mlp_kernels.hpp); the tests hold those to a tape-autodiff oracle.
 //
 // Parameters live in one contiguous vector so optimizers can treat the whole
 // network (or several networks concatenated) as a flat parameter space, the
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "ad/tape.hpp"
 #include "nn/activation.hpp"
 #include "util/rng.hpp"
 
@@ -44,28 +43,9 @@ class Mlp {
   std::span<double> params() { return params_; }
   std::span<const double> params() const { return params_; }
 
-  /// Fast inference path.  Const and allocation-light; safe to call
-  /// concurrently from the trainer's data-parallel gradient workers.
+  /// Per-sample inference, the reference the batch kernels are tested
+  /// against.  Const; safe to call concurrently.
   std::vector<double> forward(std::span<const double> x) const;
-
-  /// Scratch-reusing inference: writes output_width() values into `out` and
-  /// ping-pongs layer activations through `scratch` (both resized as needed,
-  /// capacity kept).  Once warm this performs zero heap allocations, which
-  /// matters because the descriptor calls it once per neighbor per atom.
-  void forward(std::span<const double> x, std::vector<double>& out,
-               std::vector<double>& scratch) const;
-
-  /// Tape variables mirroring `params()`, in the same flat order.  Bind once
-  /// per training step, reuse across every sample in the batch.
-  std::vector<ad::Var> bind_params(ad::Tape& tape) const;
-
-  /// As above, appending onto `out` instead of returning a fresh vector, so
-  /// per-frame graph builds reuse one caller-owned buffer across all nets.
-  void bind_params(ad::Tape& tape, std::vector<ad::Var>& out) const;
-
-  /// Forward pass with tape-bound parameters and tape inputs.
-  std::vector<ad::Var> forward(ad::Tape& tape, std::span<const ad::Var> bound_params,
-                               std::span<const ad::Var> x) const;
 
   const std::vector<LayerSpec>& layers() const { return layers_; }
 

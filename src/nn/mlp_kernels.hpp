@@ -1,10 +1,10 @@
 // Hand-derived batched forward/backward kernels for nn::Mlp.
 //
-// The tape autodiff in ad/tape.hpp allocates one heap node per scalar
-// multiply, which makes it a fine differentiation *oracle* but a poor
-// training hot path: a DeepPot-SE gradient step touches every embedding net
-// once per neighbor per atom per frame.  These kernels replace the tape on
-// that path with four analytic passes over contiguous batches:
+// An autodiff tape (ad/tape.hpp) allocates one heap node per scalar
+// multiply, which makes it a fine differentiation *oracle* -- the tests keep
+// it as one -- but a poor training hot path: a DeepPot-SE gradient step
+// touches every embedding net once per neighbor per atom per frame.  These
+// kernels are that path, four analytic passes over contiguous batches:
 //
 //   forward   y_l = sigma(W_l y_{l-1} + b_l)            caches y, s', (s'')
 //   vjp       zbar_l = s'(z_l) . ybar_l                 param grads W,b

@@ -341,6 +341,9 @@ class Parser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("invalid number: " + token);
+    // strtod saturates an overflowing literal to +-inf; a document must never
+    // smuggle a non-finite number past the parser.
+    if (!std::isfinite(value)) fail("number out of range: " + token);
     return Json(value);
   }
 

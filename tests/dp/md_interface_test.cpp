@@ -72,7 +72,7 @@ TEST_F(NnpMdSuite, ProviderMatchesModelPredictions) {
   // The provider runs through the chunked MdSession, which sums energies and
   // force adjoints in a different (but fixed) order than the whole-frame
   // FastGraph path -- agreement is to rounding, not bitwise.
-  const md::ForceEnergy ref = model_->energy_forces(frame);
+  const md::ForceEnergy ref = Potential::borrow(*model_).evaluate(frame);
   const double scale = std::max(1.0, std::abs(ref.energy));
   EXPECT_NEAR(fe.energy, ref.energy, 1e-9 * scale);
   ASSERT_EQ(fe.forces.size(), ref.forces.size());
@@ -85,7 +85,7 @@ TEST_F(NnpMdSuite, ProviderMatchesModelPredictions) {
 }
 
 TEST_F(NnpMdSuite, NveOnLearnedSurfaceConservesEnergy) {
-  // Forces are exact autodiff gradients of a smooth learned energy, so NVE
+  // Forces are exact analytic gradients of a smooth learned energy, so NVE
   // on the model conserves total energy to integrator error -- the paper's
   // force-consistency requirement for stable dynamics (section 3.2).
   md::SystemState state = initial_state(100.0);

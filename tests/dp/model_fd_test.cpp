@@ -1,9 +1,9 @@
-// Finite-difference cross-check of the AD-tape forces on randomized
-// configurations.  Unlike model_property_test.cpp (which probes one
-// equilibrated frame), this sweeps random ~8-atom frames with mixed species,
-// so the check covers neighbor topologies the MD pipeline never visits:
-// near-cutoff pairs, asymmetric coordination, atoms close to the switching
-// shoulder.
+// Finite-difference cross-check of the analytic forces (dp::Potential) on
+// randomized configurations, differencing the oracle's plain-double energy.
+// Unlike model_property_test.cpp (which probes one equilibrated frame), this
+// sweeps random ~8-atom frames with mixed species, so the check covers
+// neighbor topologies the MD pipeline never visits: near-cutoff pairs,
+// asymmetric coordination, atoms close to the switching shoulder.
 //
 // Tolerances are tiered by activation smoothness: C^inf activations (tanh,
 // sigmoid, softplus) must match central differences to near truncation-error
@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "dp/model.hpp"
+#include "dp/potential.hpp"
 #include "frame_harness.hpp"
+#include "tape_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp {
@@ -56,9 +58,9 @@ TEST_P(FdTier, TapeForcesMatchCentralDifferences) {
     const std::vector<md::Species> types = random_types(rng);
     const DeepPotModel model(small_config(tier.activation), types, 0.0,
                              seed + 40);
-    const md::ForceEnergy fe = model.energy_forces(frame);
+    const md::ForceEnergy fe = Potential::borrow(model).evaluate(frame);
     ASSERT_EQ(fe.forces.size(), kAtoms);
-    EXPECT_NEAR(fe.energy, model.energy(frame), 1e-9);
+    EXPECT_NEAR(fe.energy, oracle::energy(model, frame), 1e-9);
 
     for (std::size_t a = 0; a < kAtoms; ++a) {
       for (int k = 0; k < 3; ++k) {
@@ -67,7 +69,7 @@ TEST_P(FdTier, TapeForcesMatchCentralDifferences) {
         plus.positions[a][k] += h;
         minus.positions[a][k] -= h;
         const double numeric =
-            -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+            -(oracle::energy(model, plus) - oracle::energy(model, minus)) / (2.0 * h);
         const double tolerance =
             std::max(tier.abs, tier.rel * std::max(1.0, std::abs(numeric)));
         EXPECT_NEAR(fe.forces[a][k], numeric, tolerance)
@@ -85,7 +87,7 @@ TEST(ModelFd, FdErrorShrinksWithStepForSmoothActivation) {
   const md::Frame frame = random_frame(rng);
   const std::vector<md::Species> types = random_types(rng);
   const DeepPotModel model(small_config(nn::Activation::kTanh), types, 0.0, 5);
-  const md::ForceEnergy fe = model.energy_forces(frame);
+  const md::ForceEnergy fe = Potential::borrow(model).evaluate(frame);
 
   const auto max_error = [&](double h) {
     double worst = 0.0;
@@ -96,7 +98,7 @@ TEST(ModelFd, FdErrorShrinksWithStepForSmoothActivation) {
         plus.positions[a][k] += h;
         minus.positions[a][k] -= h;
         const double numeric =
-            -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+            -(oracle::energy(model, plus) - oracle::energy(model, minus)) / (2.0 * h);
         worst = std::max(worst, std::abs(numeric - fe.forces[a][k]));
       }
     }

@@ -6,7 +6,9 @@
 #include <cmath>
 
 #include "dp/model.hpp"
+#include "dp/potential.hpp"
 #include "md/simulation.hpp"
+#include "tape_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp {
@@ -68,8 +70,8 @@ TEST_P(ActivationPair, DoubleAndTapeEnergiesAgree) {
   const auto [desc, fit] = GetParam();
   const Shared& s = Shared::get();
   const DeepPotModel model(config_for(desc, fit, 3.2, 2.0), s.types, -1.0, 7);
-  const md::ForceEnergy fe = model.energy_forces(s.frame);
-  EXPECT_NEAR(model.energy(s.frame), fe.energy, 1e-9);
+  const md::ForceEnergy fe = Potential::borrow(model).evaluate(s.frame);
+  EXPECT_NEAR(oracle::energy(model, s.frame), fe.energy, 1e-9);
 }
 
 TEST_P(ActivationPair, TranslationInvariance) {
@@ -78,14 +80,14 @@ TEST_P(ActivationPair, TranslationInvariance) {
   const DeepPotModel model(config_for(desc, fit, 3.2, 2.0), s.types, 0.0, 7);
   md::Frame shifted = s.frame;
   for (auto& r : shifted.positions) r = r + md::Vec3{1.1, -0.6, 2.2};
-  EXPECT_NEAR(model.energy(shifted), model.energy(s.frame), 1e-8);
+  EXPECT_NEAR(oracle::energy(model, shifted), oracle::energy(model, s.frame), 1e-8);
 }
 
 TEST_P(ActivationPair, NewtonsThirdLawHolds) {
   const auto [desc, fit] = GetParam();
   const Shared& s = Shared::get();
   const DeepPotModel model(config_for(desc, fit, 3.2, 2.0), s.types, 0.0, 7);
-  const md::ForceEnergy fe = model.energy_forces(s.frame);
+  const md::ForceEnergy fe = Potential::borrow(model).evaluate(s.frame);
   md::Vec3 net{0, 0, 0};
   for (const md::Vec3& f : fe.forces) net = net + f;
   for (int k = 0; k < 3; ++k) EXPECT_NEAR(net[k], 0.0, 1e-8);
@@ -97,7 +99,7 @@ TEST_P(ActivationPair, ForcesMatchFiniteDifferences) {
   // the tolerance below absorbs that without masking sign errors.
   const Shared& s = Shared::get();
   const DeepPotModel model(config_for(desc, fit, 3.2, 2.0), s.types, 0.0, 7);
-  const md::ForceEnergy fe = model.energy_forces(s.frame);
+  const md::ForceEnergy fe = Potential::borrow(model).evaluate(s.frame);
   const double h = 1e-5;
   for (std::size_t a = 0; a < 2; ++a) {
     for (int k = 0; k < 3; ++k) {
@@ -105,7 +107,8 @@ TEST_P(ActivationPair, ForcesMatchFiniteDifferences) {
       md::Frame minus = s.frame;
       plus.positions[a][k] += h;
       minus.positions[a][k] -= h;
-      const double numeric = -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+      const double numeric =
+          -(oracle::energy(model, plus) - oracle::energy(model, minus)) / (2.0 * h);
       EXPECT_NEAR(fe.forces[a][k], numeric, 2e-2 * std::max(1.0, std::abs(numeric)))
           << "atom " << a << " axis " << k;
     }
@@ -129,10 +132,10 @@ TEST_P(CutoffGrid, EnergyContinuousAlongAPath) {
       config_for(nn::Activation::kTanh, nn::Activation::kTanh, rcut, smth), s.types,
       0.0, 9);
   md::Frame frame = s.frame;
-  double prev = model.energy(frame);
+  double prev = oracle::energy(model, frame);
   for (int i = 0; i < 80; ++i) {
     frame.positions[1][1] += 0.015;
-    const double e = model.energy(frame);
+    const double e = oracle::energy(model, frame);
     EXPECT_LT(std::abs(e - prev), 0.6) << "step " << i;
     prev = e;
   }

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
+#include "dp/loss.hpp"
+#include "frame_harness.hpp"
 #include "hpc/thread_pool.hpp"
 #include "md/simulation.hpp"
+#include "nn/optimizer.hpp"
+#include "tape_oracle.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dpho::dp {
 namespace {
@@ -181,57 +187,75 @@ TEST_F(TrainerSuite, InjectedPoolMatchesOwnedPool) {
   expect_bit_identical_lcurves(result_owned, result_injected);
 }
 
-TEST_F(TrainerSuite, BackwardModeNamesRoundTrip) {
-  EXPECT_EQ(to_string(BackwardMode::kTape), "tape");
-  EXPECT_EQ(to_string(BackwardMode::kAnalytic), "analytic");
-  EXPECT_EQ(parse_backward_mode("tape"), BackwardMode::kTape);
-  EXPECT_EQ(parse_backward_mode("analytic"), BackwardMode::kAnalytic);
-  EXPECT_THROW(parse_backward_mode("autodiff"), util::ValueError);
-  EXPECT_THROW(parse_backward_mode(""), util::ValueError);
-}
-
 TEST_F(TrainerSuite, TapeOracleModeTracksAnalyticDefault) {
-  // backward_mode=tape keeps the scalar tape as a differentiation oracle for
-  // the full training loop: same seed, same schedule, gradients agreeing to
-  // rounding.  Over a short run the two lcurves must stay in tight agreement
-  // (not bit-identical -- summation orders differ -- but far closer than any
-  // real hyperparameter effect).
+  // The tape oracle drives one short Adam loop next to the fused kernels:
+  // same initial model, seed, frames, batches and schedule, one copy stepped
+  // on oracle::loss_and_grad summed per frame and one on
+  // FastGraph::loss_and_grad_fused.  The batch losses and gradients must
+  // agree to 1e-4 relative at every step (not bit-identical -- summation
+  // orders differ -- but far closer than any real hyperparameter effect);
+  // the gradient check is what catches a wrong second-order term, which
+  // Adam's per-parameter scaling hides from the loss for many steps.
   const TrainInput config = tiny_config(20);
-  Trainer analytic(config, data_->train, data_->validation);
-  const TrainResult analytic_result = analytic.train();
-
-  TrainerOptions options;
-  options.backward_mode = BackwardMode::kTape;
-  Trainer tape(config, data_->train, data_->validation, options);
-  const TrainResult tape_result = tape.train();
-
-  EXPECT_EQ(tape_result.steps_completed, analytic_result.steps_completed);
-  ASSERT_EQ(tape_result.lcurve.rows().size(),
-            analytic_result.lcurve.rows().size());
-  for (std::size_t i = 0; i < tape_result.lcurve.rows().size(); ++i) {
-    const LcurveRow& rt = tape_result.lcurve.rows()[i];
-    const LcurveRow& ra = analytic_result.lcurve.rows()[i];
-    EXPECT_NEAR(rt.rmse_e_val, ra.rmse_e_val, 1e-4 * std::abs(ra.rmse_e_val))
-        << "row " << i;
-    EXPECT_NEAR(rt.rmse_f_val, ra.rmse_f_val, 1e-4 * std::abs(ra.rmse_f_val))
-        << "row " << i;
+  const md::FrameDataset& data = data_->train;
+  DeepPotModel tape_model(config, data.types(), data.mean_energy_per_atom(),
+                          util::hash_combine(config.training.seed, 0xDEE9));
+  DeepPotModel fused_model = tape_model;
+  const FastGraph fast(fused_model);
+  std::vector<FrameGeometry> geometries;
+  for (std::size_t f = 0; f < data.size(); ++f) {
+    geometries.push_back(test_harness::geometry_of(fused_model, data.frame(f)));
   }
-}
+  const std::size_t steps = config.training.numb_steps;
+  const nn::ExponentialDecay schedule(config.scaled_start_lr(),
+                                      config.learning_rate.stop_lr, steps,
+                                      config.learning_rate.decay_steps);
+  const DeepmdLoss loss(config.loss, schedule);
 
-TEST_F(TrainerSuite, TapeModeParallelLcurveBitIdenticalToSerial) {
-  // The determinism contract holds within each backward mode independently.
-  TrainInput config = tiny_config(12);
-  config.training.batch_size = 4;
-  TrainerOptions serial_options;
-  serial_options.backward_mode = BackwardMode::kTape;
-  Trainer serial(config, data_->train, data_->validation, serial_options);
-  const TrainResult serial_result = serial.train();
+  constexpr std::size_t kBatch = 4;
+  std::vector<double> tape_params = tape_model.gather_params();
+  std::vector<double> fused_params = tape_params;
+  nn::Adam tape_adam(tape_params.size());
+  nn::Adam fused_adam(fused_params.size());
+  std::vector<double> tape_grad(tape_params.size());
+  std::vector<double> fused_grad(fused_params.size());
+  std::vector<FrameTarget> targets(kBatch);
+  std::vector<double> fused_losses(kBatch);
+  FastWorkspace workspace;
+  util::Rng rng(config.training.seed);
+  for (std::size_t step = 0; step < steps; ++step) {
+    const LossWeights weights = loss.weights_at(step);
+    double tape_loss = 0.0;
+    std::fill(tape_grad.begin(), tape_grad.end(), 0.0);
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      const auto f = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1));
+      const md::Frame& frame = data.frame(f);
+      targets[b] = FrameTarget{&geometries[f], frame.energy, frame.forces};
+      const oracle::LossGrad tape =
+          oracle::loss_and_grad(tape_model, frame, frame.energy, frame.forces, weights);
+      tape_loss += tape.loss;
+      for (std::size_t p = 0; p < tape_grad.size(); ++p) {
+        tape_grad[p] += tape.grad[p] / kBatch;
+      }
+    }
+    fast.loss_and_grad_fused(targets, weights, workspace, fused_grad, fused_losses);
+    double fused_loss = 0.0;
+    for (const double l : fused_losses) fused_loss += l;
+    for (double& g : fused_grad) g /= kBatch;
+    EXPECT_NEAR(fused_loss, tape_loss, 1e-4 * std::abs(tape_loss)) << "step " << step;
+    double scale = 0.0;
+    for (const double g : tape_grad) scale = std::max(scale, std::abs(g));
+    for (std::size_t p = 0; p < tape_grad.size(); ++p) {
+      ASSERT_NEAR(fused_grad[p], tape_grad[p], 1e-4 * scale)
+          << "step " << step << " param " << p;
+    }
 
-  TrainerOptions threaded_options;
-  threaded_options.backward_mode = BackwardMode::kTape;
-  threaded_options.num_threads = 3;
-  Trainer threaded(config, data_->train, data_->validation, threaded_options);
-  expect_bit_identical_lcurves(serial_result, threaded.train());
+    tape_adam.step(tape_params, tape_grad, schedule.lr(step));
+    fused_adam.step(fused_params, fused_grad, schedule.lr(step));
+    tape_model.scatter_params(tape_params);
+    fused_model.scatter_params(fused_params);
+  }
 }
 
 TEST_F(TrainerSuite, WorkerScalingAffectsEffectiveLr) {

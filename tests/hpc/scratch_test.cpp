@@ -1,15 +1,22 @@
 // ThreadScratch: one slot per (thread, owner instance), no locking on the
 // hot path.  These tests pin the contract the trainer's analytic workspaces
 // rely on: the same thread gets the same object back on every call, distinct
-// owners never alias, and distinct threads never alias.
+// owners never alias, and distinct threads never alias -- and the lifetime
+// contract the serving cache relies on: a destroyed owner frees every
+// thread's slot, and a new owner at a reused address starts fresh.
 #include "hpc/scratch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <barrier>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include "hpc/thread_pool.hpp"
 
 namespace dpho::hpc {
 namespace {
@@ -17,6 +24,17 @@ namespace {
 struct Slot {
   int value = 0;
 };
+
+/// A slot that counts its live instances.
+struct Counted {
+  static std::atomic<int> live;
+  Counted() { live.fetch_add(1); }
+  ~Counted() { live.fetch_sub(1); }
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  int value = 0;
+};
+std::atomic<int> Counted::live{0};
 
 TEST(ThreadScratch, SameThreadGetsSamePersistentSlot) {
   ThreadScratch<Slot> scratch;
@@ -44,10 +62,8 @@ TEST(ThreadScratch, DistinctThreadsGetDistinctSlots) {
 
   constexpr int kThreads = 4;
   std::vector<Slot*> seen(kThreads, nullptr);
-  // Slots die with their thread, so a finished thread's address may be
-  // recycled by a later one; the barrier keeps every thread (and its slot)
-  // alive until all pointers have been recorded, making the aliasing check
-  // meaningful.
+  // The barrier keeps every thread running until all pointers have been
+  // recorded, so the aliasing check compares slots that are all in use.
   std::barrier sync(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -83,6 +99,50 @@ TEST(ThreadScratch, WorkerThreadsSeeEveryOwnerIndependently) {
   worker.join();
   EXPECT_EQ(a.local().value, 0);
   EXPECT_EQ(b.local().value, 0);
+}
+
+TEST(ThreadScratch, DestroyedOwnersFreeEveryThreadsSlot) {
+  ASSERT_EQ(Counted::live.load(), 0);
+  ThreadPool pool(4);
+  for (int round = 0; round < 6; ++round) {
+    auto owner = std::make_unique<ThreadScratch<Counted>>();
+    pool.parallel_for(64, [&](std::size_t) { ++owner->local().value; });
+    owner->local().value = 1;  // the calling thread too
+    EXPECT_GE(Counted::live.load(), 1) << "round " << round;
+    EXPECT_LE(Counted::live.load(), 5) << "round " << round;
+    owner.reset();
+    EXPECT_EQ(Counted::live.load(), 0) << "round " << round;
+  }
+  // Live owners keep their slots; only the destroyed ones are freed.
+  ThreadScratch<Counted> kept;
+  {
+    ThreadScratch<Counted> dropped;
+    pool.parallel_for(16, [&](std::size_t) {
+      kept.local();
+      dropped.local();
+    });
+  }
+  pool.parallel_for(16, [&](std::size_t) { kept.local(); });
+  const int kept_slots = Counted::live.load();
+  EXPECT_GE(kept_slots, 1);
+  EXPECT_LE(kept_slots, 5);
+}
+
+TEST(ThreadScratch, NewOwnerAtReusedAddressGetsAFreshSlot) {
+  alignas(ThreadScratch<Counted>) unsigned char storage[sizeof(ThreadScratch<Counted>)];
+  auto* first = new (storage) ThreadScratch<Counted>();
+  first->local().value = 7;
+  std::thread worker([first] { first->local().value = 8; });
+  worker.join();
+  std::destroy_at(first);
+  EXPECT_EQ(Counted::live.load(), 0);
+
+  auto* second = new (storage) ThreadScratch<Counted>();
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  EXPECT_EQ(second->local().value, 0);  // never the destroyed owner's 7
+  EXPECT_EQ(Counted::live.load(), 1);
+  std::destroy_at(second);
+  EXPECT_EQ(Counted::live.load(), 0);
 }
 
 }  // namespace

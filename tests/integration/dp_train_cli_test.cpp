@@ -90,6 +90,13 @@ TEST_F(DpTrainCli, BadUsageExitsTwo) {
   EXPECT_EQ(run_command(base_command() + " --bogus >/dev/null 2>&1"), 2);
 }
 
+TEST_F(DpTrainCli, RemovedEngineFlagsExitTwo) {
+  // The analytic kernels are the only gradient engine and the fused group
+  // width is a constant: neither is selectable from the command line.
+  EXPECT_EQ(run_command(base_command() + " --backward-mode tape >/dev/null 2>&1"), 2);
+  EXPECT_EQ(run_command(base_command() + " --fuse-frames 2 >/dev/null 2>&1"), 2);
+}
+
 TEST_F(DpTrainCli, MissingDataExitsFour) {
   const int code = run_command(std::string(DPHO_DP_TRAIN_BIN) + " " +
                                (dir_->path() / "input.json").string() + " /nonexistent " +

@@ -15,8 +15,8 @@
 #include <cmath>
 #include <vector>
 
-#include "ad/tape.hpp"
 #include "nn/simd.hpp"
+#include "tape_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -54,10 +54,10 @@ TapeOracle tape_reference(const Mlp& mlp, std::span<const double> x,
                           std::span<const double> xdot,
                           std::span<const double> out_bar_dot) {
   ad::Tape tape;
-  const std::vector<ad::Var> params = mlp.bind_params(tape);
+  const std::vector<ad::Var> params = oracle::bind_params(mlp, tape);
   std::vector<ad::Var> inputs;
   for (const double v : x) inputs.push_back(tape.input(v));
-  const std::vector<ad::Var> y = mlp.forward(tape, params, inputs);
+  const std::vector<ad::Var> y = oracle::forward(mlp, params, inputs);
 
   ad::Var weighted = tape.constant(0.0);
   for (std::size_t k = 0; k < y.size(); ++k) weighted = weighted + out_bar[k] * y[k];
@@ -79,14 +79,14 @@ TapeOracle tape_reference(const Mlp& mlp, std::span<const double> x,
     }
   }
 
-  TapeOracle oracle;
+  TapeOracle result;
   for (const ad::Var g : tape.gradient(objective, params)) {
-    oracle.param_grad.push_back(g.value());
+    result.param_grad.push_back(g.value());
   }
   for (const ad::Var g : tape.gradient(objective, inputs)) {
-    oracle.x_grad.push_back(g.value());
+    result.x_grad.push_back(g.value());
   }
-  return oracle;
+  return result;
 }
 
 class KernelActivations : public ::testing::TestWithParam<Activation> {};

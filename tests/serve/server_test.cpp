@@ -229,6 +229,31 @@ TEST(Server, MalformedJsonKeepsTheConnectionUsable) {
   server.stop();
 }
 
+TEST(Server, OverflowingCoordinateGetsBadRequest) {
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+  ClientFd client(server.port());
+
+  // A coordinate literal beyond double range must be refused as a typed
+  // bad_request; it must never be evaluated into a NaN reply.
+  util::Json message = encode_eval_request(make_request(3, "m0", 5, 1));
+  message["frames"].as_array()[0]["coords"].as_array()[4] = util::Json("OVERFLOW");
+  std::string payload = message.dump();
+  payload.replace(payload.find("\"OVERFLOW\""), 10, "1e999");
+  ASSERT_TRUE(hpc::net::write_frame(client.fd, payload));
+  const util::Json error_wire =
+      util::Json::parse(*hpc::net::read_frame(client.fd));
+  ASSERT_EQ(message_type(error_wire), kMsgError);
+  EXPECT_EQ(decode_error(error_wire).code, ErrorCode::kBadRequest);
+
+  const EvalRequest request = make_request(4, "m0", 6, 1);
+  EXPECT_TRUE(reply_matches_direct(
+      archive, request, exchange(client.fd, encode_eval_request(request))));
+  server.stop();
+}
+
 TEST(Server, OversizedFrameIsRefusedAndTheConnectionClosed) {
   util::TempDir dir;
   make_archive(dir.path() / "a", 1);

@@ -121,6 +121,16 @@ TEST(Json, MalformedInputsThrow) {
   }
 }
 
+TEST(Json, OverflowingNumbersThrow) {
+  for (const char* bad : {"1e999", "-1e999", "[0, 1e400]", "{\"x\": -2E+999}"}) {
+    EXPECT_THROW(Json::parse(bad), ParseError) << bad;
+  }
+  // The largest finite doubles still parse; underflow rounds toward zero and
+  // stays finite, so it is accepted too.
+  EXPECT_EQ(Json::parse("-1.7976931348623157e308").as_number(), -1.7976931348623157e308);
+  EXPECT_EQ(Json::parse("1e-999").as_number(), 0.0);
+}
+
 TEST(Json, DeepNesting) {
   std::string text;
   for (int i = 0; i < 50; ++i) text += "[";
