@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <tuple>
 
 #include "dp/loss.hpp"
 #include "hpc/parallel.hpp"
@@ -156,6 +157,7 @@ TrainResult Trainer::train() {
                         {"rmse_e_val", e_val},
                         {"rmse_f_val", f_val},
                         {"lr", schedule.lr(step)}});
+    return std::pair{e_val, f_val};
   };
 
   const std::size_t batch_size = config_.training.batch_size;
@@ -227,10 +229,7 @@ TrainResult Trainer::train() {
     steps_total.add(1);
     result.steps_completed = step + 1;
   }
-  record_row(total_steps);
-  const auto [e_val, f_val] = validation_rmse();
-  result.rmse_e_val = e_val;
-  result.rmse_f_val = f_val;
+  std::tie(result.rmse_e_val, result.rmse_f_val) = record_row(total_steps);
   result.wall_seconds = seconds_since(start_time);
   return result;
 }

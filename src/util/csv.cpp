@@ -1,8 +1,8 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
+
+#include "util/json.hpp"
 
 namespace dpho::util {
 
@@ -28,14 +28,9 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
 }
 
 std::string CsvWriter::format(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  std::string out;
+  append_shortest(value, out);
+  return out;
 }
 
 std::vector<std::vector<std::string>> CsvReader::parse(const std::string& text,

@@ -21,7 +21,7 @@ class CsvWriter {
   /// quoted per RFC 4180.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Convenience: formats doubles with round-trip precision.
+  /// Convenience: formats doubles with round-trip precision (append_shortest).
   static std::string format(double value);
 
  private:

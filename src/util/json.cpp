@@ -1,10 +1,12 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -105,6 +107,20 @@ bool Json::contains(const std::string& key) const {
   return is_object() && as_object().contains(key);
 }
 
+void append_shortest(double value, std::string& out) {
+  char buf[32];
+  char* last = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::scientific).ptr;
+  // No %.{p}g with fewer digits than this shortest form reads back, so the
+  // 1..17 search starts at its digit count; `back` starts as NaN to enter it.
+  int precision = 0;
+  for (const char* c = buf; c != last && *c != 'e'; ++c) precision += *c >= '0' && *c <= '9';
+  for (double back = NAN; std::isfinite(value) && back != value; ++precision) {
+    last = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, precision).ptr;
+    std::from_chars(buf, last, back);
+  }
+  out.append(buf, last);
+}
+
 namespace {
 
 void escape_string(const std::string& s, std::string& out) {
@@ -132,31 +148,16 @@ void escape_string(const std::string& s, std::string& out) {
 }
 
 void format_number(double d, std::string& out) {
-  if (std::isnan(d) || std::isinf(d)) {
-    // JSON has no NaN/Inf; emit null, mirroring Python's json with allow_nan
-    // disabled semantics we actually want for robust round-trips.
-    out += "null";
+  if (!std::isfinite(d)) {
+    out += "null";  // JSON has no NaN/Inf
     return;
   }
-  const double rounded = std::nearbyint(d);
-  if (d == rounded && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out += buf;
+  if (d == std::nearbyint(d) && std::abs(d) < 1e15) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, d, std::chars_format::fixed, 0).ptr);
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Trim to shortest representation that round-trips.
-  for (int precision = 1; precision <= 17; ++precision) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, d);
-    if (std::strtod(shorter, nullptr) == d) {
-      out += shorter;
-      return;
-    }
-  }
-  out += buf;
+  append_shortest(d, out);
 }
 
 class Parser {
@@ -337,13 +338,15 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("invalid number: " + token);
-    // strtod saturates an overflowing literal to +-inf; a document must never
-    // smuggle a non-finite number past the parser.
-    if (!std::isfinite(value)) fail("number out of range: " + token);
+    const std::string_view token(text_.data() + start, pos_ - start);
+    double value = 0.0;
+    const auto [end, error] = std::from_chars(token.data(), token.data() + token.size(), value);
+    if (end != token.data() + token.size()) fail("invalid number: " + std::string(token));
+    if (error == std::errc::result_out_of_range) {
+      // from_chars reports overflow and underflow alike; strtod tells them apart.
+      value = std::strtod(std::string(token).c_str(), nullptr);
+      if (!std::isfinite(value)) fail("number out of range: " + std::string(token));
+    }
     return Json(value);
   }
 

@@ -100,4 +100,7 @@ class Json {
   Value value_;
 };
 
+/// Appends the first `%.{p}g` text, p = 1..17, that reads back as `value` (NaN: printf's).
+void append_shortest(double value, std::string& out);
+
 }  // namespace dpho::util

@@ -11,6 +11,7 @@
 #include "hpc/thread_pool.hpp"
 #include "md/simulation.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "tape_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -152,6 +153,27 @@ void expect_bit_identical_lcurves(const TrainResult& a, const TrainResult& b) {
   }
   EXPECT_EQ(bits(a.rmse_e_val), bits(b.rmse_e_val));
   EXPECT_EQ(bits(a.rmse_f_val), bits(b.rmse_f_val));
+}
+
+TEST_F(TrainerSuite, OneValidationPassPerLcurveRow) {
+  // Each step evaluates batch_size frames; each lcurve row scores the first
+  // min(8, n_valid) validation frames plus one training frame, and the final
+  // result reuses the last row instead of scoring the validation set again.
+  TrainInput config = tiny_config(25);
+  config.training.batch_size = 3;
+  Trainer trainer(config, data_->train, data_->validation);
+  const obs::Counter& frames = obs::metrics().counter("dp.kernels.frames_total");
+  const std::int64_t before = frames.value();
+  const TrainResult result = trainer.train();
+  const std::size_t rows = result.lcurve.rows().size();
+  const std::size_t valid = std::min<std::size_t>(8, data_->validation.size());
+  EXPECT_EQ(rows, 4u);  // steps 0, 10, 20 and the final 25
+  EXPECT_EQ(frames.value() - before,
+            static_cast<std::int64_t>(25 * 3 + rows * (valid + 1)));
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const LcurveRow& last = result.lcurve.rows().back();
+  EXPECT_EQ(bits(result.rmse_e_val), bits(last.rmse_e_val));
+  EXPECT_EQ(bits(result.rmse_f_val), bits(last.rmse_f_val));
 }
 
 TEST_F(TrainerSuite, ParallelLcurveBitIdenticalToSerial) {

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "number_reference.hpp"
+
 namespace dpho::util {
 namespace {
 
@@ -72,6 +74,23 @@ TEST(Csv, FormatRoundTripsDoubles) {
   for (double v : {0.0625, 3.51e-8, 1.0 / 3.0, -42.0, 0.0}) {
     EXPECT_DOUBLE_EQ(std::stod(CsvWriter::format(v)), v);
   }
+}
+
+TEST(Csv, FormatMatchesThePrecisionSearch) {
+  // Byte for byte the old snprintf/strtod search's text, over edge values
+  // (non-finite ones print as printf's inf/nan) and a million random bit
+  // patterns.
+  std::vector<double> values = reference::edge_values();
+  const std::vector<double> random = reference::random_bit_patterns(0xC5F, 1'000'000);
+  values.insert(values.end(), random.begin(), random.end());
+  const std::vector<std::size_t> bad = reference::mismatches(
+      values, [](double v) { return CsvWriter::format(v) == reference::shortest_g(v); });
+  for (std::size_t k = 0; k < std::min<std::size_t>(bad.size(), 10); ++k) {
+    const double v = values[bad[k]];
+    ADD_FAILURE() << v << ": format " << CsvWriter::format(v) << ", reference "
+                  << reference::shortest_g(v);
+  }
+  EXPECT_TRUE(bad.empty()) << bad.size() << " of " << values.size() << " values differ";
 }
 
 TEST(Csv, FormatPrefersShortRepresentation) {

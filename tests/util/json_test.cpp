@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 
+#include "number_reference.hpp"
 #include "util/error.hpp"
 
 namespace dpho::util {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(Json, ParsePrimitives) {
   EXPECT_TRUE(Json::parse("null").is_null());
@@ -53,6 +59,27 @@ TEST(Json, NumberFormattingRoundTrips) {
     Json j(value);
     EXPECT_DOUBLE_EQ(Json::parse(j.dump()).as_number(), value) << value;
   }
+}
+
+TEST(Json, NumbersPrintLikeThePrecisionSearchAndParseLikeStrtod) {
+  // Every emitted number is the old snprintf/strtod search's text, and
+  // parsing it gives strtod's bits, over edge values and a million random
+  // bit patterns.
+  std::vector<double> values = reference::edge_values();
+  const std::vector<double> random = reference::random_bit_patterns(0x150A, 1'000'000);
+  values.insert(values.end(), random.begin(), random.end());
+  const std::vector<std::size_t> bad = reference::mismatches(values, [](double v) {
+    const std::string text = Json(v).dump();
+    if (text != reference::json_number(v)) return false;
+    return text == "null" ||
+           bits(Json::parse(text).as_number()) == bits(std::strtod(text.c_str(), nullptr));
+  });
+  for (std::size_t k = 0; k < std::min<std::size_t>(bad.size(), 10); ++k) {
+    const double v = values[bad[k]];
+    ADD_FAILURE() << "bits 0x" << std::hex << bits(v) << ": dump " << Json(v).dump()
+                  << ", reference " << reference::json_number(v);
+  }
+  EXPECT_TRUE(bad.empty()) << bad.size() << " of " << values.size() << " values differ";
 }
 
 TEST(Json, IntegersPrintWithoutExponent) {
@@ -116,7 +143,8 @@ TEST(Json, NumberOrAndStringOr) {
 
 TEST(Json, MalformedInputsThrow) {
   for (const char* bad : {"", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated",
-                          "{\"a\":1} extra", "[1 2]", "{'a':1}", "nul"}) {
+                          "{\"a\":1} extra", "[1 2]", "{'a':1}", "nul", "+1", "-",
+                          "1e", "[1.5.2]"}) {
     EXPECT_THROW(Json::parse(bad), ParseError) << bad;
   }
 }
@@ -129,6 +157,14 @@ TEST(Json, OverflowingNumbersThrow) {
   // stays finite, so it is accepted too.
   EXPECT_EQ(Json::parse("-1.7976931348623157e308").as_number(), -1.7976931348623157e308);
   EXPECT_EQ(Json::parse("1e-999").as_number(), 0.0);
+  const double negative = Json::parse("-1e-999").as_number();
+  EXPECT_EQ(negative, 0.0);
+  EXPECT_TRUE(std::signbit(negative));
+  // Around the subnormal floor and DBL_MAX the parser rounds like strtod.
+  for (const char* text : {"2e-324", "-2e-324", "2.4703282292062328e-324",
+                           "2.4703282292062329e-324", "3e-324", "1.7976931348623158e308"}) {
+    EXPECT_EQ(bits(Json::parse(text).as_number()), bits(std::strtod(text, nullptr))) << text;
+  }
 }
 
 TEST(Json, DeepNesting) {
