@@ -70,7 +70,7 @@ void MdSession::initialize(const md::SystemState& state) {
   box_ = md::Box(state.box_length);
   skin_ = std::max(
       0.0, std::min(options_.skin, box_.max_cutoff() - cutoff() - 1e-9));
-  verlet_.emplace(box_, cutoff(), skin_, options_.neighbor_build);
+  verlet_.emplace(box_, cutoff(), skin_, options_.neighbor_build, options_.pool);
   chunk_begin_ = md::make_chunk_partition(num_atoms_, options_);
   num_chunks_ = chunk_begin_.size() - 1;
 
@@ -146,6 +146,8 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
   }
   cand_.resize(total);
   cand_cursor_.assign(cand_off_.begin(), cand_off_.end() - 1);
+  // Centers ascend and NeighborList rows are in ascending neighbor id, so
+  // each bucket comes out in the canonical (center, neighbor id) order.
   for (std::size_t c = 0; c < num_chunks_; ++c) {
     for (std::size_t i = chunk_begin_[c]; i < chunk_begin_[c + 1]; ++i) {
       for (const md::Neighbor& nb : list.neighbors_of(i)) {
@@ -155,12 +157,6 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
             (std::uint64_t{i} << 32) | static_cast<std::uint32_t>(nb.index);
       }
     }
-  }
-  // Canonical candidate order per bucket: (center, neighbor id) ascending.
-  // This is what makes a stale-skin walk bitwise-match a fresh rebuild.
-  for (std::size_t b = 0; b < num_chunks_ * kNets; ++b) {
-    std::sort(cand_.begin() + static_cast<std::ptrdiff_t>(cand_off_[b]),
-              cand_.begin() + static_cast<std::ptrdiff_t>(cand_off_[b + 1]));
   }
   // Size each chunk's live-pair arrays to its candidate total (upper bound
   // of the live count; grow-only, with headroom).

@@ -7,15 +7,9 @@
 namespace dpho::md {
 
 Box::Box(double length) : length_(length), inv_length_(1.0 / length) {
-  if (length <= 0.0) throw util::ValueError("box length must be positive");
-}
-
-Vec3 Box::displacement(const Vec3& ri, const Vec3& rj) const {
-  Vec3 d = rj - ri;
-  for (double& component : d) {
-    component -= length_ * std::nearbyint(component * inv_length_);
+  if (!std::isfinite(length) || length <= 0.0) {
+    throw util::ValueError("box length must be positive and finite");
   }
-  return d;
 }
 
 double Box::distance(const Vec3& ri, const Vec3& rj) const {

@@ -1,102 +1,94 @@
 #include "md/neighbor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "hpc/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace dpho::md {
 
+namespace {
+
+// Atoms per block of the row fill.  The partition is fixed, so which thread
+// fills a block never changes what the block holds.
+constexpr std::size_t kBlockAtoms = 128;
+
+/// Runs fn(b) for every block b, on the pool when there is one.
+template <typename Fn>
+void for_each_block(hpc::ThreadPool* pool, std::size_t blocks, Fn& fn) {
+  if (pool == nullptr) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+    return;
+  }
+  pool->parallel_for_static(
+      blocks, [](void* ctx, std::size_t b) { (*static_cast<Fn*>(ctx))(b); }, &fn);
+}
+
+}  // namespace
+
 NeighborList::NeighborList(const Box& box, const std::vector<Vec3>& positions,
-                           double cutoff, NeighborBuild mode) {
-  build(box, positions, cutoff, mode);
+                           double cutoff, NeighborBuild mode,
+                           hpc::ThreadPool* pool) {
+  build(box, positions, cutoff, mode, pool);
 }
 
 void NeighborList::build(const Box& box, const std::vector<Vec3>& positions,
-                         double cutoff, NeighborBuild mode) {
-  if (cutoff <= 0.0) throw util::ValueError("neighbor cutoff must be positive");
-  if (cutoff > box.max_cutoff() + 1e-12) {
+                         double cutoff, NeighborBuild mode,
+                         hpc::ThreadPool* pool) {
+  // Both guards are written so that a NaN cutoff fails them.
+  if (!(cutoff > 0.0)) throw util::ValueError("neighbor cutoff must be positive");
+  if (!(cutoff <= box.max_cutoff() + 1e-12)) {
     throw util::ValueError("neighbor cutoff exceeds half the box edge");
   }
   cutoff_ = cutoff;
-  pairs_.clear();
   const auto cells_per_side = static_cast<std::size_t>(box.length() / cutoff);
   bool use_cells = cells_per_side >= 3;
   if (mode == NeighborBuild::kBruteForce) use_cells = false;
   if (mode == NeighborBuild::kCells && !use_cells) {
     throw util::ValueError("cell-list build needs a box >= 3 cells wide");
   }
-  if (use_cells) {
-    build_cells(box, positions);
-    used_cells_ = true;
-  } else {
-    build_brute_force(box, positions);
-    used_cells_ = false;
-  }
-  compress(positions.size());
-}
+  used_cells_ = use_cells;
+  bin_atoms(box, positions, use_cells ? cells_per_side : 1);
 
-void NeighborList::compress(std::size_t num_atoms) {
-  // CSR: count both endpoints of every half-pair, prefix-sum into row
-  // offsets, then cursor-fill the flat array.  Emitting pairs in enumeration
-  // order keeps each atom's row in exactly the order the old per-atom
-  // push_back produced, so downstream summation order is unchanged.
-  offsets_.assign(num_atoms + 1, 0);
-  for (const HalfPair& pair : pairs_) {
-    ++offsets_[pair.i + 1];
-    ++offsets_[pair.j + 1];
-  }
-  for (std::size_t i = 0; i < num_atoms; ++i) offsets_[i + 1] += offsets_[i];
-  flat_.resize(offsets_.back());
+  const std::size_t n = positions.size();
+  blocks_.resize((n + kBlockAtoms - 1) / kBlockAtoms);
+  upper_count_.resize(n);
+  auto fill = [&](std::size_t b) { fill_upper_block(b, box, positions); };
+  for_each_block(pool, blocks_.size(), fill);
 
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const HalfPair& pair : pairs_) {
-    flat_[cursor_[pair.i]++] =
-        Neighbor{pair.j, pair.displacement, pair.distance};
-    flat_[cursor_[pair.j]++] = Neighbor{
-        pair.i,
-        Vec3{-pair.displacement[0], -pair.displacement[1], -pair.displacement[2]},
-        pair.distance};
-  }
-}
-
-void NeighborList::build_brute_force(const Box& box,
-                                     const std::vector<Vec3>& positions) {
-  const double cutoff_sq = cutoff_ * cutoff_;
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      const Vec3 d = box.displacement(positions[i], positions[j]);
-      const double dist_sq = dot(d, d);
-      if (dist_sq >= cutoff_sq || dist_sq == 0.0) continue;
-      pairs_.push_back(HalfPair{i, j, d, std::sqrt(dist_sq)});
+  // Row i is [j < i | j > i], both parts ascending.  Counting the upper
+  // entries that name j in ascending i gives each its rank in row j's lower
+  // part; then each block writes its own rows and those lower entries.
+  offsets_.assign(n + 1, 0);
+  for (Block& block : blocks_) {
+    block.rank.resize(block.upper.size());
+    for (std::size_t k = 0; k < block.upper.size(); ++k) {
+      block.rank[k] = offsets_[block.upper[k].index + 1]++;
     }
   }
+  for (std::size_t i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i] + upper_count_[i];
+  flat_.resize(offsets_.back());
+  auto emit = [&](std::size_t b) { emit_block(b); };
+  for_each_block(pool, blocks_.size(), emit);
 }
 
-void NeighborList::build_cells(const Box& box,
-                               const std::vector<Vec3>& positions) {
-  const auto cells = static_cast<long>(box.length() / cutoff_);
+void NeighborList::bin_atoms(const Box& box, const std::vector<Vec3>& positions,
+                             std::size_t cells) {
   const double cell_size = box.length() / static_cast<double>(cells);
   const auto cell_of = [&](const Vec3& r) {
-    const Vec3 w = box.wrap(r);
-    long cx = static_cast<long>(w[0] / cell_size);
-    long cy = static_cast<long>(w[1] / cell_size);
-    long cz = static_cast<long>(w[2] / cell_size);
-    cx = std::min(cx, cells - 1);
-    cy = std::min(cy, cells - 1);
-    cz = std::min(cz, cells - 1);
-    return (cx * cells + cy) * cells + cz;
+    std::size_t c = 0;
+    for (const double x : box.wrap(r)) {
+      c = c * cells + std::min(static_cast<std::size_t>(x / cell_size), cells - 1);
+    }
+    return c;
   };
-
-  // Counting-sort atoms into flattened CSR bins.  Atoms land in each bin in
-  // ascending atom order -- the same order the old per-bin push_back
-  // produced -- so the pair enumeration below is unchanged.
-  const auto num_cells = static_cast<std::size_t>(cells * cells * cells);
+  const std::size_t num_cells = cells * cells * cells;
   atom_cell_.resize(positions.size());
   bin_offsets_.assign(num_cells + 1, 0);
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    const auto c = static_cast<std::size_t>(cell_of(positions[i]));
-    atom_cell_[i] = c;
-    ++bin_offsets_[c + 1];
+    atom_cell_[i] = cell_of(positions[i]);
+    ++bin_offsets_[atom_cell_[i] + 1];
   }
   for (std::size_t c = 0; c < num_cells; ++c) bin_offsets_[c + 1] += bin_offsets_[c];
   bin_atoms_.resize(positions.size());
@@ -104,47 +96,74 @@ void NeighborList::build_cells(const Box& box,
   for (std::size_t i = 0; i < positions.size(); ++i) {
     bin_atoms_[bin_cursor_[atom_cell_[i]]++] = i;
   }
-  const auto bin = [&](std::size_t c) {
-    return std::span<const std::size_t>(bin_atoms_)
-        .subspan(bin_offsets_[c], bin_offsets_[c + 1] - bin_offsets_[c]);
-  };
 
+  // The 27 cells around each cell; the exact scan's one cell is its own.
+  const std::size_t reach = cells > 1 ? 1 : 0, side = 2 * reach + 1;
+  const auto shift = [&](std::size_t x, std::size_t d) {
+    return (x + cells + d - reach) % cells;
+  };
+  stencil_width_ = side * side * side;
+  if (stencil_.size() == num_cells * stencil_width_) return;  // grid unchanged
+  stencil_.clear();
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    for (std::size_t s = 0; s < stencil_width_; ++s) {
+      stencil_.push_back((shift(c / (cells * cells), s / (side * side)) * cells +
+                          shift(c / cells % cells, s / side % side)) * cells +
+                         shift(c % cells, s % side));
+    }
+  }
+}
+
+void NeighborList::fill_upper_block(std::size_t b, const Box& box,
+                                    const std::vector<Vec3>& positions) {
+  // Atom i's candidates are the ids above i in each bin of its stencil.
+  // Bins interleave ids, so each row is sorted once it is complete.
   const double cutoff_sq = cutoff_ * cutoff_;
-  const auto wrap_cell = [&](long c) { return ((c % cells) + cells) % cells; };
-  for (long cx = 0; cx < cells; ++cx) {
-    for (long cy = 0; cy < cells; ++cy) {
-      for (long cz = 0; cz < cells; ++cz) {
-        const auto home =
-            static_cast<std::size_t>((cx * cells + cy) * cells + cz);
-        for (long dx = -1; dx <= 1; ++dx) {
-          for (long dy = -1; dy <= 1; ++dy) {
-            for (long dz = -1; dz <= 1; ++dz) {
-              const auto other = static_cast<std::size_t>(
-                  (wrap_cell(cx + dx) * cells + wrap_cell(cy + dy)) * cells +
-                  wrap_cell(cz + dz));
-              if (other < home) continue;  // visit each cell pair once
-              for (std::size_t a : bin(home)) {
-                for (std::size_t b : bin(other)) {
-                  if (home == other && b <= a) continue;
-                  const Vec3 d = box.displacement(positions[a], positions[b]);
-                  const double dist_sq = dot(d, d);
-                  if (dist_sq >= cutoff_sq || dist_sq == 0.0) continue;
-                  pairs_.push_back(HalfPair{a, b, d, std::sqrt(dist_sq)});
-                }
-              }
-            }
-          }
-        }
+  std::vector<Neighbor>& out = blocks_[b].upper;
+  out.clear();
+  const std::size_t end = std::min(positions.size(), (b + 1) * kBlockAtoms);
+  for (std::size_t i = b * kBlockAtoms; i < end; ++i) {
+    const std::size_t first = out.size();
+    const Vec3 ri = positions[i];
+    const std::size_t* cell = &stencil_[atom_cell_[i] * stencil_width_];
+    for (std::size_t s = 0; s < stencil_width_; ++s) {
+      const std::size_t* bin = bin_atoms_.data() + bin_offsets_[cell[s]];
+      const std::size_t* bin_end = bin_atoms_.data() + bin_offsets_[cell[s] + 1];
+      for (const std::size_t* j = std::upper_bound(bin, bin_end, i); j != bin_end; ++j) {
+        const Vec3 d = box.displacement(ri, positions[*j]);
+        const double dist_sq = dot(d, d);
+        if (dist_sq >= cutoff_sq || dist_sq == 0.0) continue;
+        out.push_back(Neighbor{*j, d, std::sqrt(dist_sq)});
       }
+    }
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+              [](const Neighbor& x, const Neighbor& y) { return x.index < y.index; });
+    upper_count_[i] = out.size() - first;
+  }
+}
+
+void NeighborList::emit_block(std::size_t b) {
+  const Block& block = blocks_[b];
+  std::size_t k = 0;
+  const std::size_t end = std::min(upper_count_.size(), (b + 1) * kBlockAtoms);
+  for (std::size_t i = b * kBlockAtoms; i < end; ++i) {
+    std::size_t slot = offsets_[i + 1] - upper_count_[i];
+    for (const std::size_t row_end = k + upper_count_[i]; k < row_end; ++k) {
+      const Neighbor& nb = block.upper[k];
+      flat_[slot++] = nb;
+      const Vec3& d = nb.displacement;
+      flat_[offsets_[nb.index] + block.rank[k]] =
+          Neighbor{i, Vec3{-d[0], -d[1], -d[2]}, nb.distance};
     }
   }
 }
 
 VerletList::VerletList(const Box& box, double cutoff, double skin,
-                       NeighborBuild mode)
-    : box_(box), cutoff_(cutoff), skin_(skin), mode_(mode) {
-  if (skin < 0.0) throw util::ValueError("verlet skin must be >= 0");
-  if (cutoff + skin > box.max_cutoff() + 1e-12) {
+                       NeighborBuild mode, hpc::ThreadPool* pool)
+    : box_(box), cutoff_(cutoff), skin_(skin), mode_(mode), pool_(pool) {
+  // Both guards are written so that NaN fails them.
+  if (!(skin >= 0.0)) throw util::ValueError("verlet skin must be >= 0");
+  if (!(cutoff + skin <= box.max_cutoff() + 1e-12)) {
     throw util::ValueError("verlet cutoff + skin exceeds half the box edge");
   }
 }
@@ -161,7 +180,7 @@ bool VerletList::needs_rebuild(const std::vector<Vec3>& positions) const {
 
 const NeighborList& VerletList::update(const std::vector<Vec3>& positions) {
   if (needs_rebuild(positions)) {
-    list_.build(box_, positions, cutoff_ + skin_, mode_);
+    list_.build(box_, positions, cutoff_ + skin_, mode_, pool_);
     built_ = true;
     // assign() reuses reference_positions_' capacity: no allocation once the
     // atom count is stable.

@@ -1,5 +1,4 @@
-// Neighbor search: linked-cell lists with a brute-force fallback and
-// reference implementation.
+// Neighbor search: linked-cell lists with an exact-scan fallback.
 //
 // Both the classical reference potential and the DeepPot-SE descriptor need
 // "all neighbors of atom i within a radial cutoff".  The cell list is O(N)
@@ -10,9 +9,14 @@
 // Storage is CSR (counts -> prefix-sum offsets -> one flat Neighbor array,
 // the lgrtk/CabanaMD layout): the whole topology is two allocations and
 // per-atom iteration is a contiguous streaming read, instead of one heap
-// vector per atom.  `build()` reuses every internal buffer (pair scratch,
-// CSR rows, flattened cell bins), so a warmed list rebuilds without heap
-// traffic -- the property the MD sessions' zero-allocation contract rests on.
+// vector per atom.  Rows are canonical by construction: ascending neighbor
+// id, each pair's displacement computed once from its lower id and negated
+// in the other row.  Both paths share one row fill, so the cell list equals
+// the exact scan byte for byte and the MD sessions copy rows unsorted.  The
+// fill runs in fixed atom blocks on an optional borrowed thread pool that
+// never changes the result.  `build()` reuses every internal buffer, so a
+// warmed list rebuilds without heap traffic -- the property the MD
+// sessions' zero-allocation contract rests on.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +25,10 @@
 
 #include "md/box.hpp"
 #include "md/system.hpp"
+
+namespace dpho::hpc {
+class ThreadPool;
+}
 
 namespace dpho::md {
 
@@ -38,7 +46,8 @@ struct Neighbor {
 enum class NeighborBuild { kAuto, kBruteForce, kCells };
 
 /// Full per-atom neighbor lists (i's list contains j and j's contains i),
-/// stored as one flat CSR array indexed by per-atom offsets.
+/// stored as one flat CSR array indexed by per-atom offsets.  Each row is in
+/// ascending neighbor id.
 class NeighborList {
  public:
   /// Empty list; call build() before use.
@@ -47,14 +56,17 @@ class NeighborList {
   /// Builds lists for all atoms within `cutoff`; throws ValueError when the
   /// cutoff exceeds half the box edge.
   NeighborList(const Box& box, const std::vector<Vec3>& positions, double cutoff,
-               NeighborBuild mode = NeighborBuild::kAuto);
+               NeighborBuild mode = NeighborBuild::kAuto,
+               hpc::ThreadPool* pool = nullptr);
 
   /// Rebuilds in place, reusing all internal storage (grow-only capacity).
-  /// Enumeration order is identical to a freshly constructed list.  Throws
+  /// `pool` (borrowed, may be null) only changes the wall time: the rows
+  /// are the same bytes at any thread count and in either mode.  Throws
   /// ValueError for an invalid cutoff, or for mode kCells when the box is
   /// under three cells wide.
   void build(const Box& box, const std::vector<Vec3>& positions, double cutoff,
-             NeighborBuild mode = NeighborBuild::kAuto);
+             NeighborBuild mode = NeighborBuild::kAuto,
+             hpc::ThreadPool* pool = nullptr);
 
   std::span<const Neighbor> neighbors_of(std::size_t i) const {
     return std::span<const Neighbor>(flat_).subspan(offsets_[i],
@@ -70,34 +82,36 @@ class NeighborList {
   bool used_cells() const { return used_cells_; }
 
  private:
-  /// One directed half-pair from the enumeration; the CSR fill emits it into
-  /// both endpoint rows, preserving the enumeration order per atom.
-  struct HalfPair {
-    std::size_t i = 0;
-    std::size_t j = 0;
-    Vec3 displacement{};  // r_j - r_i
-    double distance = 0.0;
+  /// One fixed block of kBlockAtoms rows: their j > i entries, ascending j
+  /// per row, and each entry's rank among the j < i entries of row j.
+  struct Block {
+    std::vector<Neighbor> upper;
+    std::vector<std::size_t> rank;
   };
 
-  void build_brute_force(const Box& box, const std::vector<Vec3>& positions);
-  void build_cells(const Box& box, const std::vector<Vec3>& positions);
-  /// counts -> offsets -> flat fill, in the half-pair enumeration order.
-  void compress(std::size_t num_atoms);
+  /// Bins atoms by cell (ascending id per bin) and lists each cell's stencil.
+  void bin_atoms(const Box& box, const std::vector<Vec3>& positions,
+                 std::size_t cells);
+  void fill_upper_block(std::size_t b, const Box& box,
+                        const std::vector<Vec3>& positions);
+  /// Writes block b's rows (j > i part) and their mirrored j < i entries.
+  void emit_block(std::size_t b);
 
   double cutoff_ = 0.0;
   bool used_cells_ = false;
   std::vector<std::size_t> offsets_;  // num_atoms + 1
   std::vector<Neighbor> flat_;        // offsets_.back() entries
 
-  // Rebuild scratch, reused across build() calls (grow-only).
-  std::vector<HalfPair> pairs_;
-  std::vector<std::size_t> cursor_;
-  // Flattened cell bins (CSR over cells): the same counting-sort layout as
-  // the neighbor rows themselves, so binning allocates nothing once warmed.
-  std::vector<std::size_t> bin_offsets_;
+  // Rebuild scratch, reused across build() calls (grow-only).  One cell
+  // holding every atom is the exact scan.
+  std::vector<std::size_t> bin_offsets_;  // CSR over cells
   std::vector<std::size_t> bin_cursor_;
   std::vector<std::size_t> bin_atoms_;
   std::vector<std::size_t> atom_cell_;
+  std::vector<std::size_t> stencil_;  // stencil_width_ cells per cell
+  std::size_t stencil_width_ = 1;
+  std::vector<Block> blocks_;
+  std::vector<std::size_t> upper_count_;  // per atom
 };
 
 /// Verlet list: a NeighborList built at cutoff + skin, reused across MD steps
@@ -107,8 +121,10 @@ class NeighborList {
 /// identities are guaranteed complete).
 class VerletList {
  public:
+  /// `pool` (borrowed, may be null) builds the list; see NeighborList.
   VerletList(const Box& box, double cutoff, double skin,
-             NeighborBuild mode = NeighborBuild::kAuto);
+             NeighborBuild mode = NeighborBuild::kAuto,
+             hpc::ThreadPool* pool = nullptr);
 
   /// Returns the current pair list, rebuilding in place (no allocation once
   /// warmed) if any atom moved > skin/2 since the last rebuild.
@@ -126,6 +142,7 @@ class VerletList {
   double cutoff_;
   double skin_;
   NeighborBuild mode_;
+  hpc::ThreadPool* pool_;
   std::size_t rebuilds_ = 0;
   std::vector<Vec3> reference_positions_;
   bool built_ = false;

@@ -26,7 +26,9 @@ std::size_t pair_index(Species a, Species b) {
 
 ReferencePotential::ReferencePotential(double cutoff, double wolf_alpha)
     : cutoff_(cutoff), wolf_alpha_(wolf_alpha) {
-  if (cutoff <= 0.0) throw util::ValueError("potential cutoff must be positive");
+  if (!std::isfinite(cutoff) || cutoff <= 0.0) {
+    throw util::ValueError("potential cutoff must be positive and finite");
+  }
   for (std::size_t a = 0; a < kNumSpecies; ++a) {
     for (std::size_t b = 0; b < kNumSpecies; ++b) {
       const auto sa = static_cast<Species>(a);
@@ -45,9 +47,9 @@ ReferencePotential::ReferencePotential(double cutoff, double wolf_alpha)
     for (std::size_t b = 0; b < kNumSpecies; ++b) {
       const auto sa = static_cast<Species>(a);
       const auto sb = static_cast<Species>(b);
-      shift_energy_[pair_index(sa, sb)] = raw_pair_energy(sa, sb, cutoff_);
-      shift_slope_[pair_index(sa, sb)] =
-          raw_pair_energy_derivative(sa, sb, cutoff_);
+      const RawPair raw = raw_pair(sa, sb, cutoff_);
+      shift_energy_[pair_index(sa, sb)] = raw.energy;
+      shift_slope_[pair_index(sa, sb)] = raw.slope;
     }
   }
 }
@@ -63,41 +65,33 @@ namespace {
 constexpr double kDispersionDamp6 = 1.5 * 1.5 * 1.5 * 1.5 * 1.5 * 1.5;  // d=1.5 A
 }  // namespace
 
-double ReferencePotential::raw_pair_energy(Species a, Species b, double r) const {
+ReferencePotential::RawPair ReferencePotential::raw_pair(Species a, Species b,
+                                                        double r) const {
   const PairParams& p = params(a, b);
-  const double born = p.bmh_a * std::exp((p.bmh_sigma - r) / p.bmh_rho);
-  const double dispersion =
-      -p.dispersion_c / (std::pow(r, 6) + kDispersionDamp6);
-  const double coulomb =
-      kCoulombEvAng * p.charge_product * std::erfc(wolf_alpha_ * r) / r;
-  return born + dispersion + coulomb;
-}
-
-double ReferencePotential::raw_pair_energy_derivative(Species a, Species b,
-                                                      double r) const {
-  const PairParams& p = params(a, b);
-  const double born = -p.bmh_a / p.bmh_rho * std::exp((p.bmh_sigma - r) / p.bmh_rho);
+  // exp, pow(r, 6) and erfc once each; every sum and product keeps the
+  // operand order of the separate energy and derivative formulas.
+  const double born_exp = std::exp((p.bmh_sigma - r) / p.bmh_rho);
   const double denom = std::pow(r, 6) + kDispersionDamp6;
-  const double dispersion = 6.0 * p.dispersion_c * std::pow(r, 5) / (denom * denom);
   const double erfc_term = std::erfc(wolf_alpha_ * r);
   const double gauss_term = 2.0 * wolf_alpha_ / std::sqrt(std::numbers::pi) *
                             std::exp(-wolf_alpha_ * wolf_alpha_ * r * r);
-  const double coulomb = kCoulombEvAng * p.charge_product *
-                         (-erfc_term / (r * r) - gauss_term / r);
-  return born + dispersion + coulomb;
+  RawPair raw;
+  raw.energy = p.bmh_a * born_exp - p.dispersion_c / denom +
+               kCoulombEvAng * p.charge_product * erfc_term / r;
+  raw.slope = -p.bmh_a / p.bmh_rho * born_exp +
+              6.0 * p.dispersion_c * std::pow(r, 5) / (denom * denom) +
+              kCoulombEvAng * p.charge_product *
+                  (-erfc_term / (r * r) - gauss_term / r);
+  return raw;
 }
 
-double ReferencePotential::pair_energy(Species a, Species b, double r) const {
-  if (r >= cutoff_) return 0.0;
+PairEnergyForce ReferencePotential::pair_energy_force(Species a, Species b,
+                                                      double r) const {
+  if (r >= cutoff_) return {};
   const std::size_t idx = pair_index(a, b);
-  return raw_pair_energy(a, b, r) - shift_energy_[idx] -
-         (r - cutoff_) * shift_slope_[idx];
-}
-
-double ReferencePotential::pair_force(Species a, Species b, double r) const {
-  if (r >= cutoff_) return 0.0;
-  const std::size_t idx = pair_index(a, b);
-  return -(raw_pair_energy_derivative(a, b, r) - shift_slope_[idx]);
+  const RawPair raw = raw_pair(a, b, r);
+  return {raw.energy - shift_energy_[idx] - (r - cutoff_) * shift_slope_[idx],
+          -(raw.slope - shift_slope_[idx])};
 }
 
 ForceEnergy ReferencePotential::compute(const SystemState& state,
@@ -126,9 +120,10 @@ void ReferencePotential::compute(const SystemState& state,
       if (r >= cutoff_) continue;
       const Species si = state.types[i];
       const Species sj = state.types[nb.index];
-      energy += pair_energy(si, sj, r);
+      const PairEnergyForce pair = pair_energy_force(si, sj, r);
+      energy += pair.energy;
       // F_i = U'(r) * d / r with d = r_j - r_i (see derivation in tests).
-      const double magnitude = -pair_force(si, sj, r) / r;
+      const double magnitude = -pair.force / r;
       const Vec3 fi = d * magnitude;
       out.forces[i] = out.forces[i] + fi;
       out.forces[nb.index] = out.forces[nb.index] - fi;

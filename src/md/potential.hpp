@@ -26,6 +26,12 @@ struct PairParams {
   double charge_product = 0.0;  // e^2
 };
 
+/// Shifted-force energy and scalar force of one pair at one separation.
+struct PairEnergyForce {
+  double energy = 0.0;  // eV
+  double force = 0.0;   // eV/Angstrom along +r
+};
+
 /// Energy + forces of one configuration.
 struct ForceEnergy {
   double energy = 0.0;              // total potential energy, eV
@@ -36,19 +42,15 @@ struct ForceEnergy {
 class ReferencePotential {
  public:
   /// `cutoff` in Angstrom; `wolf_alpha` is the Coulomb damping parameter.
+  /// Throws ValueError unless the cutoff is positive and finite.
   explicit ReferencePotential(double cutoff = 8.5, double wolf_alpha = 0.2);
 
   double cutoff() const { return cutoff_; }
 
-  /// Raw pair energy before the shifted-force correction.
-  double raw_pair_energy(Species a, Species b, double r) const;
-  /// Raw derivative dU/dr.
-  double raw_pair_energy_derivative(Species a, Species b, double r) const;
-
-  /// Shifted-force pair energy: zero value and zero derivative at the cutoff.
-  double pair_energy(Species a, Species b, double r) const;
-  /// Scalar pair force magnitude along +r (i.e. -dU_sf/dr).
-  double pair_force(Species a, Species b, double r) const;
+  /// Shifted-force pair energy (zero value and zero derivative at the
+  /// cutoff) and the scalar pair force along +r (-dU_sf/dr), from one pass
+  /// over the transcendental terms.  Both are zero for r >= cutoff.
+  PairEnergyForce pair_energy_force(Species a, Species b, double r) const;
 
   /// Total energy and forces using a caller-provided neighbor list.
   ForceEnergy compute(const SystemState& state, const NeighborList& neighbors) const;
@@ -63,6 +65,12 @@ class ReferencePotential {
   ForceEnergy compute(const SystemState& state) const;
 
  private:
+  /// Raw (unshifted) U and dU/dr of one pair.
+  struct RawPair {
+    double energy = 0.0;
+    double slope = 0.0;
+  };
+  RawPair raw_pair(Species a, Species b, double r) const;
   const PairParams& params(Species a, Species b) const;
 
   double cutoff_;

@@ -54,7 +54,9 @@ std::vector<std::size_t> make_chunk_partition(std::size_t num_atoms,
 ReferenceSession::ReferenceSession(const ReferencePotential& potential,
                                    const SessionOptions& options)
     : potential_(potential), options_(options) {
-  if (options.skin < 0.0) throw util::ValueError("session skin must be >= 0");
+  if (!std::isfinite(options.skin) || options.skin < 0.0) {
+    throw util::ValueError("session skin must be finite and >= 0");
+  }
 }
 
 std::size_t ReferenceSession::neighbor_rebuilds() const {
@@ -69,7 +71,8 @@ void ReferenceSession::initialize(const SystemState& state) {
   // cutoff must fit on its own (VerletList throws otherwise).
   skin_ = std::max(
       0.0, std::min(options_.skin, box_.max_cutoff() - cutoff() - 1e-9));
-  verlet_.emplace(box_, potential_.cutoff(), skin_, options_.neighbor_build);
+  verlet_.emplace(box_, potential_.cutoff(), skin_, options_.neighbor_build,
+                  options_.pool);
   chunk_begin_ = make_chunk_partition(num_atoms_, options_);
   num_chunks_ = chunk_begin_.size() - 1;
   chunk_energy_.assign(num_chunks_, 0.0);
@@ -91,16 +94,13 @@ void ReferenceSession::rebuild_skeleton(const NeighborList& list) {
     skel_index_.reserve(total + total / 8 + 64);
   }
   skel_index_.resize(total);
+  // NeighborList rows are already in ascending neighbor id, the canonical
+  // order that makes a stale-skin walk bitwise-match a fresh rebuild.
+  std::size_t cursor = 0;
   for (std::size_t i = 0; i < num_atoms_; ++i) {
-    std::size_t cursor = skel_offsets_[i];
     for (const Neighbor& nb : list.neighbors_of(i)) {
       skel_index_[cursor++] = static_cast<std::uint32_t>(nb.index);
     }
-    // Canonical candidate order: ascending neighbor id.  This is what makes
-    // a stale-skin walk bitwise-match a fresh rebuild (cell enumeration order
-    // would otherwise depend on which cell each atom currently occupies).
-    std::sort(skel_index_.begin() + static_cast<std::ptrdiff_t>(skel_offsets_[i]),
-              skel_index_.begin() + static_cast<std::ptrdiff_t>(cursor));
   }
 }
 
@@ -124,8 +124,9 @@ void ReferenceSession::eval_chunk(std::size_t c, const SystemState& state,
       // Full-neighbor form: each pair is seen from both centers, so each
       // occurrence carries half the pair energy (exact: *0.5 is a power of
       // two) and the full force on this center.
-      energy += 0.5 * potential_.pair_energy(si, sj, r);
-      f = f + d * (-potential_.pair_force(si, sj, r) / r);
+      const PairEnergyForce pair = potential_.pair_energy_force(si, sj, r);
+      energy += 0.5 * pair.energy;
+      f = f + d * (-pair.force / r);
     }
     forces[i] = f;
   }

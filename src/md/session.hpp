@@ -1,21 +1,23 @@
 // Persistent MD evaluation sessions: the zero-allocation force hot path.
 //
 // A PotentialSession owns everything an MD run reuses across steps -- the
-// Verlet-skin neighbor list, a sorted candidate-pair skeleton, and all force
-// workspace -- so a steady-state step performs zero heap allocations (the
-// same contract dp's training kernels set in DESIGN.md section 8).  Topology
-// is rebuilt only on skin triggers; between rebuilds each step refreshes
-// distances in place from the *stale pair identities* (the Verlet guarantee:
-// identities complete, distances outdated).
+// Verlet-skin neighbor list, a candidate-pair skeleton, and all force
+// workspace -- so a steady-state step, and a rebuild step once warmed,
+// performs zero heap allocations (the same contract dp's training kernels
+// set in DESIGN.md section 8).  Topology is rebuilt only on skin triggers,
+// on the session's pool; between rebuilds each step refreshes distances in
+// place from the *stale pair identities* (the Verlet guarantee: identities
+// complete, distances outdated).
 //
 // Determinism contract: results are a pure function of (potential, options,
 // state) -- never of the thread count.  The atom range is split into a fixed
 // chunk partition (derived from N alone); chunks may run on any pool thread,
 // but each chunk writes only the forces of its own contiguous atom range and
 // its own energy partial, and partials are combined serially in chunk order.
-// Candidate rows are sorted by neighbor id, so a session with a stale skin
-// list walks pairs in exactly the order a fresh rebuild would -- trajectories
-// are bit-identical across thread counts AND across skin settings.
+// NeighborList rows come in ascending neighbor id and the skeleton copies
+// them without sorting, so a session with a stale skin list walks pairs in
+// exactly the order a fresh rebuild would -- trajectories are bit-identical
+// across thread counts AND across skin settings.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +30,6 @@
 #include "md/neighbor.hpp"
 #include "md/potential.hpp"
 #include "md/system.hpp"
-
-namespace dpho::hpc {
-class ThreadPool;
-}
 
 namespace dpho::md {
 
@@ -46,8 +44,9 @@ struct SessionOptions {
   std::size_t chunk_atoms = 64;
   std::size_t max_chunks = 16;
   NeighborBuild neighbor_build = NeighborBuild::kAuto;
-  /// Borrowed worker pool; nullptr evaluates chunks on the calling thread.
-  /// The pool affects wall-clock only, never results.
+  /// Borrowed worker pool for the force chunks and the neighbor-list build;
+  /// nullptr runs both on the calling thread.  The pool affects wall-clock
+  /// only, never results.
   hpc::ThreadPool* pool = nullptr;
 };
 
@@ -112,7 +111,7 @@ class ReferenceSession final : public PotentialSession {
   std::vector<std::size_t> chunk_begin_;  // num_chunks_ + 1
   std::vector<double> chunk_energy_;
 
-  // Candidate skeleton: per-atom neighbor ids from the Verlet list, sorted
+  // Candidate skeleton: per-atom neighbor ids copied from the Verlet list,
   // ascending (canonical order; see file comment).  Rebuilt on skin triggers.
   std::vector<std::size_t> skel_offsets_;  // num_atoms_ + 1
   std::vector<std::uint32_t> skel_index_;

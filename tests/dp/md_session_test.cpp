@@ -175,6 +175,36 @@ TEST_F(NnpSessionSuite, SteadyStateStepsAllocateNothing) {
   EXPECT_EQ(testsupport::alloc_count(), 0u);
 }
 
+TEST_F(NnpSessionSuite, RebuildStepsAllocateNothing) {
+  // Two saved configurations more than skin/2 apart (the 10-atom box clamps
+  // the skin to about 0.34 A), so every step of the alternation rebuilds.
+  const md::SystemState a = initial_state();
+  md::SystemState b = a;
+  util::Rng rng(41);
+  for (md::Vec3& r : b.positions) {
+    for (double& x : r) x += rng.bernoulli(0.5) ? 0.15 : -0.15;  // |move| 0.26
+  }
+  hpc::ThreadPool pool(4);
+  for (hpc::ThreadPool* maybe_pool : {static_cast<hpc::ThreadPool*>(nullptr), &pool}) {
+    md::SessionOptions options;
+    options.skin = 0.6;
+    options.chunk_atoms = 4;
+    options.pool = maybe_pool;
+    auto session = potential_->make_md_session(options);
+    std::vector<md::Vec3> forces(a.size());
+    session->compute(a, forces);  // warm-up cycle
+    session->compute(b, forces);
+    const std::size_t rebuilds_before = session->neighbor_rebuilds();
+    testsupport::reset_alloc_count();
+    for (int step = 0; step < 10; ++step) {
+      session->compute(step % 2 == 0 ? a : b, forces);
+    }
+    const std::size_t allocations = testsupport::alloc_count();
+    EXPECT_EQ(allocations, 0u) << (maybe_pool ? "4-thread pool" : "no pool");
+    EXPECT_EQ(session->neighbor_rebuilds() - rebuilds_before, 10u);
+  }
+}
+
 TEST_F(NnpSessionSuite, RejectsWrongAtomCountAndBox) {
   auto session = potential_->make_md_session();
   md::SystemState state = initial_state();

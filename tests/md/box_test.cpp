@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -20,6 +25,90 @@ TEST(Box, BasicProperties) {
 TEST(Box, RejectsNonPositiveLength) {
   EXPECT_THROW(Box(0.0), util::ValueError);
   EXPECT_THROW(Box(-1.0), util::ValueError);
+}
+
+TEST(Box, RejectsNonFiniteLength) {
+  EXPECT_THROW(Box(std::numeric_limits<double>::quiet_NaN()), util::ValueError);
+  EXPECT_THROW(Box(std::numeric_limits<double>::infinity()), util::ValueError);
+  EXPECT_THROW(Box(-std::numeric_limits<double>::infinity()), util::ValueError);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Values where a rounding shortcut would go wrong: signed zeros, ties and
+/// their floating-point neighbors, subnormals, and the 2^51/2^52 seams.
+std::vector<double> rounding_edge_values() {
+  std::vector<double> values = {0.0, DBL_MIN, DBL_TRUE_MIN, 4.9e-320, DBL_MAX,
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (const double half : {0.5, 1.5, 2.5, 3.5, 1e6 + 0.5, 0x1p50 + 0.5}) {
+    values.push_back(half);
+    values.push_back(std::nextafter(half, 0.0));
+    values.push_back(std::nextafter(half, 1e300));
+  }
+  for (const double seam : {0x1p51, 0x1p52, 0x1p53, 0x1.8p52}) {
+    double below = seam;
+    double above = seam;
+    for (int step = 0; step < 4; ++step) {
+      values.push_back(below);
+      values.push_back(above);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1e300);
+    }
+    values.push_back(seam - 0.5);
+    values.push_back(seam + 0.5);
+    values.push_back(seam - 1.5);
+  }
+  const std::size_t positives = values.size();
+  for (std::size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
+  return values;
+}
+
+TEST(Box, RoundHalfEvenMatchesNearbyintBitwise) {
+  for (const double t : rounding_edge_values()) {
+    ASSERT_EQ(bits(round_half_even(t)), bits(std::nearbyint(t))) << t;
+  }
+  util::Rng rng(29);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Raw bit patterns (every exponent, NaNs and infinities included), then
+    // the range a minimum image sees, then whole multiples of one half.
+    const double patterned = std::bit_cast<double>(rng());
+    const double near = rng.uniform(-8.0, 8.0);
+    const double half = 0.5 * static_cast<double>(rng.uniform_int(-64, 64));
+    for (const double t : {patterned, near, half}) {
+      ASSERT_EQ(bits(round_half_even(t)), bits(std::nearbyint(t))) << t;
+    }
+  }
+}
+
+TEST(Box, DisplacementMatchesNearbyintMinimumImageBitwise) {
+  const auto nearbyint_image = [](const Box& box, const Vec3& ri, const Vec3& rj) {
+    Vec3 d = rj - ri;
+    for (double& component : d) {
+      component -= box.length() * std::nearbyint(component * (1.0 / box.length()));
+    }
+    return d;
+  };
+  util::Rng rng(31);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const Box box(rng.uniform(5.0, 100.0));
+    const double span = 3.0 * box.length();
+    const Vec3 ri{rng.uniform(-span, span), rng.uniform(-span, span),
+                  rng.uniform(-span, span)};
+    const Vec3 rj{rng.uniform(-span, span), rng.uniform(-span, span),
+                  rng.uniform(-span, span)};
+    const Vec3 got = box.displacement(ri, rj);
+    const Vec3 want = nearbyint_image(box, ri, rj);
+    for (int k = 0; k < 3; ++k) ASSERT_EQ(bits(got[k]), bits(want[k])) << i;
+  }
+  // On a unit box the image count is the coordinate itself, so the edge
+  // values reach the rounding through the displacement too.
+  const Box unit(1.0);
+  for (const double t : rounding_edge_values()) {
+    const Vec3 got = unit.displacement(Vec3{0.0, 0.0, 0.0}, Vec3{t, -t, t});
+    const Vec3 want = nearbyint_image(unit, Vec3{0.0, 0.0, 0.0}, Vec3{t, -t, t});
+    for (int k = 0; k < 3; ++k) ASSERT_EQ(bits(got[k]), bits(want[k])) << t;
+  }
 }
 
 TEST(Box, DisplacementWithoutWrapping) {

@@ -4,13 +4,17 @@
 // -- the same primitive both build paths use -- so pair sets, displacements
 // and distances must match exactly, and the CSR structural invariants
 // (monotone offsets, flat storage, mean_neighbors) must hold for any input.
+// The canonical-order suite pins the stronger claim: both paths, on any
+// pool, produce the same rows byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
 
+#include "hpc/thread_pool.hpp"
 #include "md/neighbor.hpp"
 #include "util/rng.hpp"
 
@@ -109,6 +113,50 @@ TEST(NeighborCsr, RandomizedParityInFallbackRegime) {
     const Box box(box_length);
     expect_matches_brute(box, random_positions(n, box_length, rng), cutoff,
                          /*expect_cells=*/false);
+  }
+}
+
+/// Row for row, entry for entry: order, index, displacement and distance
+/// bytes.
+void expect_bytewise_equal(const NeighborList& got, const NeighborList& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::span<const Neighbor> row = got.neighbors_of(i);
+    const std::span<const Neighbor> expected = want.neighbors_of(i);
+    ASSERT_EQ(row.size(), expected.size()) << "atom " << i;
+    ASSERT_EQ(std::memcmp(row.data(), expected.data(), row.size_bytes()), 0)
+        << "atom " << i;
+    for (std::size_t k = 1; k < row.size(); ++k) {
+      ASSERT_LT(row[k - 1].index, row[k].index) << "atom " << i;
+    }
+  }
+}
+
+TEST(NeighborCsr, CellListEqualsExactScanBytewiseOnAnyPool) {
+  // 1 (no pool), 2 and 4 busy threads: the caller claims blocks too.  Up
+  // to 1,500 atoms span many fill blocks.
+  hpc::ThreadPool two(1), four(3);
+  const std::vector<hpc::ThreadPool*> pools = {nullptr, &two, &four};
+  util::Rng rng(303);
+  NeighborList reused;
+  for (int trial = 0; trial < 12; ++trial) {
+    const double box_length = rng.uniform(20.0, 40.0);
+    const double cutoff = rng.uniform(2.5, box_length / 3.2);
+    const std::size_t n = 100 + static_cast<std::size_t>(rng.uniform_int(0, 1400));
+    const Box box(box_length);
+    const std::vector<Vec3> positions = random_positions(n, box_length, rng);
+    const NeighborList exact(box, positions, cutoff, NeighborBuild::kBruteForce);
+    ASSERT_FALSE(exact.used_cells());
+    for (hpc::ThreadPool* pool : pools) {
+      const NeighborList cells(box, positions, cutoff, NeighborBuild::kCells, pool);
+      ASSERT_TRUE(cells.used_cells());
+      expect_bytewise_equal(cells, exact);
+      expect_bytewise_equal(
+          NeighborList(box, positions, cutoff, NeighborBuild::kBruteForce, pool),
+          exact);
+      reused.build(box, positions, cutoff, NeighborBuild::kCells, pool);
+      expect_bytewise_equal(reused, exact);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/error.hpp"
@@ -98,6 +99,23 @@ TEST(NeighborList, CutoffLargerThanHalfBoxThrows) {
   const std::vector<Vec3> positions = {{1, 1, 1}};
   EXPECT_THROW(NeighborList(box, positions, 5.5), util::ValueError);
   EXPECT_THROW(NeighborList(box, positions, -1.0), util::ValueError);
+}
+
+TEST(NeighborList, RejectsNonFiniteCutoff) {
+  const Box box(10.0);
+  const std::vector<Vec3> positions = {{1, 1, 1}, {2, 1, 1}};
+  for (const NeighborBuild mode :
+       {NeighborBuild::kAuto, NeighborBuild::kBruteForce, NeighborBuild::kCells}) {
+    EXPECT_THROW(NeighborList(box, positions,
+                              std::numeric_limits<double>::quiet_NaN(), mode),
+                 util::ValueError);
+    EXPECT_THROW(NeighborList(box, positions,
+                              std::numeric_limits<double>::infinity(), mode),
+                 util::ValueError);
+  }
+  NeighborList list(box, positions, 2.0);
+  EXPECT_THROW(list.build(box, positions, std::numeric_limits<double>::quiet_NaN()),
+               util::ValueError);
 }
 
 TEST(NeighborList, DistancesAndDisplacementsConsistent) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "hpc/thread_pool.hpp"
@@ -197,6 +198,46 @@ TEST(ReferenceSessionTest, SteadyStateStepsAllocateNothing) {
     session.compute(state, forces);
   }
   EXPECT_EQ(testsupport::alloc_count(), 0u);
+}
+
+TEST(ReferenceSessionTest, RebuildStepsAllocateNothing) {
+  // 800 atoms: wide enough for the cell path.  Two saved configurations
+  // more than skin/2 apart, so every step of the alternation rebuilds.
+  const SystemState a = make_state(80, 300.0, 29);
+  SystemState b = a;
+  util::Rng rng(37);
+  for (Vec3& r : b.positions) {
+    for (double& x : r) x += rng.bernoulli(0.5) ? 0.3 : -0.3;  // |move| 0.52 > 0.4
+  }
+  const ReferencePotential potential(6.5);
+  hpc::ThreadPool pool(4);
+  for (hpc::ThreadPool* maybe_pool : {static_cast<hpc::ThreadPool*>(nullptr), &pool}) {
+    SessionOptions options;
+    options.skin = 0.8;
+    options.pool = maybe_pool;
+    ReferenceSession session(potential, options);
+    std::vector<Vec3> forces(a.size());
+    session.compute(a, forces);  // warm-up cycle
+    session.compute(b, forces);
+    const std::size_t rebuilds_before = session.neighbor_rebuilds();
+    testsupport::reset_alloc_count();
+    for (int step = 0; step < 10; ++step) {
+      session.compute(step % 2 == 0 ? a : b, forces);
+    }
+    const std::size_t allocations = testsupport::alloc_count();
+    EXPECT_EQ(allocations, 0u) << (maybe_pool ? "4-thread pool" : "no pool");
+    EXPECT_EQ(session.neighbor_rebuilds() - rebuilds_before, 10u);
+  }
+}
+
+TEST(ReferenceSessionTest, RejectsNonFiniteSkin) {
+  const ReferencePotential potential(5.0);
+  for (const double skin : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -0.1}) {
+    SessionOptions options;
+    options.skin = skin;
+    EXPECT_THROW(ReferenceSession(potential, options), util::ValueError) << skin;
+  }
 }
 
 TEST(ReferenceSessionTest, RejectsMismatchedStateOrSpan) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "md/potential.hpp"
@@ -164,6 +165,16 @@ TEST(VerletList, Validation) {
   const Box box(10.0);
   EXPECT_THROW(VerletList(box, 4.0, -0.1), util::ValueError);
   EXPECT_THROW(VerletList(box, 4.5, 1.0), util::ValueError);  // 5.5 > L/2
+}
+
+TEST(VerletList, RejectsNonFiniteCutoffOrSkin) {
+  const Box box(10.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(VerletList(box, 3.0, nan), util::ValueError);
+  EXPECT_THROW(VerletList(box, 3.0, inf), util::ValueError);
+  EXPECT_THROW(VerletList(box, nan, 0.5), util::ValueError);
+  EXPECT_THROW(VerletList(box, inf, 0.5), util::ValueError);
 }
 
 TEST(VerletList, UndersizedNeighborListRejectedByPotential) {
