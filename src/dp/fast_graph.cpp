@@ -55,6 +55,8 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
     throw util::ValueError("fast_graph: neighbor list cutoff does not match model rcut");
   }
   out.num_atoms = n;
+  out.first_center = 0;
+  out.num_centers = n;
 
   // Count pairs per embedding net, prefix-sum into offsets, then fill.  The
   // count must apply store_pair's exact filter (r < switching.rcut()).
@@ -88,24 +90,16 @@ FastGraph::FastGraph(const DeepPotModel& model) : model_(&model) {
   m1_ = model.spec().m1();
   m2_ = model.spec().m2();
 
-  // Group atoms by species so each fitting net sees one contiguous batch;
-  // atom_slot_ maps an atom to its row inside that batch.
+  // Each fitting net sees its species' atoms as one contiguous batch in atom
+  // order; prefix counts per species give every atom's row in it.
   const std::vector<md::Species>& types = model.types();
   const std::size_t n = types.size();
-  species_offsets_.assign(md::kNumSpecies + 1, 0);
-  for (md::Species t : types) ++species_offsets_[static_cast<std::size_t>(t) + 1];
-  for (std::size_t s = 0; s < md::kNumSpecies; ++s) {
-    species_offsets_[s + 1] += species_offsets_[s];
-  }
-  species_atoms_.resize(n);
-  atom_slot_.resize(n);
-  std::array<std::uint32_t, md::kNumSpecies> cursor;
-  std::copy_n(species_offsets_.begin(), md::kNumSpecies, cursor.begin());
+  species_before_.assign((n + 1) * md::kNumSpecies, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto s = static_cast<std::size_t>(types[i]);
-    const std::uint32_t pos = cursor[s]++;
-    species_atoms_[pos] = static_cast<std::uint32_t>(i);
-    atom_slot_[i] = pos - species_offsets_[s];
+    const auto row = species_before_.begin() +
+                     static_cast<std::ptrdiff_t>(i * md::kNumSpecies);
+    std::copy_n(row, md::kNumSpecies, row + md::kNumSpecies);
+    ++row[md::kNumSpecies + static_cast<std::size_t>(types[i])];
   }
 
   // Flat parameter offsets in gather_params order: embeddings then fittings.
@@ -124,21 +118,36 @@ FastGraph::FastGraph(const DeepPotModel& model) : model_(&model) {
 
 void FastGraph::size_workspace(std::span<const FrameGeometry* const> frames,
                                FastWorkspace& workspace) const {
-  for (const FrameGeometry* geometry : frames) {
-    if (geometry == nullptr || geometry->num_atoms != model_->num_atoms()) {
+  const std::size_t n = model_->num_atoms();
+  constexpr std::size_t kSp = md::kNumSpecies;
+  workspace.embed.resize(kNets);
+  workspace.fit.resize(kSp);
+  // Fused per-net row totals, and per-frame bases of the T blocks and
+  // fitting rows sized from each frame's center range (a whole frame f
+  // starts at f * n and f * atoms(sp)).
+  workspace.net_counts.assign(kNets, 0);
+  workspace.center_base.assign(frames.size() + 1, 0);
+  workspace.fit_base.assign((frames.size() + 1) * kSp, 0);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const FrameGeometry* geometry = frames[f];
+    if (geometry == nullptr || geometry->num_atoms != n) {
       throw util::ValueError("fast_graph: geometry atom count does not match model");
     }
-  }
-  workspace.embed.resize(kNets);
-  workspace.fit.resize(md::kNumSpecies);
-  // Fused per-net row totals and their prefix sums (row space shared by all
-  // pair-indexed scratch like u_dot).
-  workspace.net_counts.assign(kNets, 0);
-  for (const FrameGeometry* geometry : frames) {
+    if (geometry->first_center > n || geometry->num_centers > n - geometry->first_center) {
+      throw util::ValueError("fast_graph: geometry center range exceeds the frame");
+    }
     for (std::size_t net = 0; net < kNets; ++net) {
       workspace.net_counts[net] += geometry->net_count(net);
     }
+    workspace.center_base[f + 1] = workspace.center_base[f] + geometry->num_centers;
+    for (std::size_t sp = 0; sp < kSp; ++sp) {
+      workspace.fit_base[(f + 1) * kSp + sp] =
+          workspace.fit_base[f * kSp + sp] + species_before(geometry->end_center(), sp) -
+          species_before(geometry->first_center, sp);
+    }
   }
+  // Prefix sums of the net totals: the row space shared by all pair-indexed
+  // scratch like u_dot.
   workspace.net_row_offset.assign(kNets + 1, 0);
   for (std::size_t net = 0; net < kNets; ++net) {
     workspace.net_row_offset[net + 1] =
@@ -146,12 +155,20 @@ void FastGraph::size_workspace(std::span<const FrameGeometry* const> frames,
   }
 }
 
-void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
-                            FastWorkspace& workspace, bool training) const {
+void FastGraph::frame_primal_pass(std::span<const FrameGeometry* const> frames,
+                                  FastWorkspace& workspace, bool training) const {
   obs::ScopedTimer timer(primal_seconds());
-  const std::size_t num_frames = frames.size();
-  frames_counter().add(static_cast<std::int64_t>(num_frames));
+  frames_counter().add(static_cast<std::int64_t>(frames.size()));
+  workspace.coord_bar.assign(frames.size() * 3 * model_->num_atoms(), 0.0);
+  primal_pass(frames, workspace, training, workspace.coord_bar);
+  pairs_counter().add(
+      static_cast<std::int64_t>(workspace.net_row_offset.back()));
+}
 
+void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
+                            FastWorkspace& workspace, bool training,
+                            std::span<double> coord_bar_all) const {
+  const std::size_t num_frames = frames.size();
   const DeepPotModel& model = *model_;
   const std::vector<md::Species>& types = model.types();
   const std::size_t n = model.num_atoms();
@@ -160,8 +177,9 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   const nn::Curvature curvature =
       training ? nn::Curvature::kCache : nn::Curvature::kNone;
   size_workspace(frames, workspace);
-  pairs_counter().add(
-      static_cast<std::int64_t>(workspace.net_row_offset.back()));
+  // Fitting rows per species, summed over the fused frames.
+  const std::size_t* fit_rows =
+      workspace.fit_base.data() + num_frames * md::kNumSpecies;
 
   // Embedding forward: one batch per (center, neighbor) species-pair net,
   // rows stacked frame-major within the net so K fused frames run each dense
@@ -181,9 +199,9 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
                           curvature);
   }
 
-  // Descriptor contraction: T_i[m][c] = nu * sum_j g_j[m] R_j[c], with atom
-  // blocks laid out frame-major ((f * n + i) * m1 * 4).
-  workspace.t.assign(num_frames * n * m1_ * 4, 0.0);
+  // Descriptor contraction: T_i[m][c] = nu * sum_j g_j[m] R_j[c], one block
+  // per center, frame-major.
+  workspace.t.assign(workspace.center_base[num_frames] * m1_ * 4, 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
     if (workspace.net_counts[net] == 0) continue;
     const std::span<const double> g_all = workspace.embed[net].cache.out();
@@ -192,13 +210,13 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
       const FrameGeometry& geometry = *frames[f];
       const std::uint32_t begin = geometry.net_offsets[net];
       const std::uint32_t end = geometry.net_offsets[net + 1];
-      double* t_frame = workspace.t.data() + f * n * m1_ * 4;
       for (std::uint32_t p = begin; p < end; ++p, ++row) {
         const double s = geometry.s[p];
         const double row4[4] = {s, s * geometry.ux[p], s * geometry.uy[p],
                                 s * geometry.uz[p]};
         const double* g = g_all.data() + row * m1_;
-        double* tblock = t_frame + geometry.center[p] * m1_ * 4;
+        double* tblock =
+            workspace.t.data() + t_block(workspace, geometry, f, geometry.center[p]);
         for (std::size_t m = 0; m < m1_; ++m) {
           const double gm = nu * g[m];
           for (std::size_t c = 0; c < 4; ++c) tblock[m * 4 + c] += gm * row4[c];
@@ -208,18 +226,17 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   }
 
   // D_i[a][b] = sum_c T[a][c] T[b][c], written straight into the fitting
-  // batch rows (atoms grouped by species; frames stack as row blocks).
+  // batch rows (centers grouped by species; frames stack as row blocks).
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-    workspace.fit[sp].x.resize(num_frames * atoms * dwidth);
+    workspace.fit[sp].x.resize(fit_rows[sp] * dwidth);
   }
   for (std::size_t f = 0; f < num_frames; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
+    const FrameGeometry& geometry = *frames[f];
+    for (std::size_t i = geometry.first_center; i < geometry.end_center(); ++i) {
       const auto sp = static_cast<std::size_t>(types[i]);
-      const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
       double* dst = workspace.fit[sp].x.data() +
-                    (f * atoms + atom_slot_[i]) * dwidth;
-      const double* tblock = workspace.t.data() + (f * n + i) * m1_ * 4;
+                    fit_row(workspace, geometry, f, i, sp) * dwidth;
+      const double* tblock = workspace.t.data() + t_block(workspace, geometry, f, i);
       for (std::size_t a = 0; a < m1_; ++a) {
         for (std::size_t b = 0; b < m2_; ++b) {
           double sum = 0.0;
@@ -233,19 +250,19 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   // Fitting forward; per-frame atomic energies accumulate in atom order
   // (matching the tape oracle's summation order).
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-    if (atoms == 0) continue;
+    if (fit_rows[sp] == 0) continue;
     FastWorkspace::NetSlot& slot = workspace.fit[sp];
-    nn::mlp_forward_batch(model.fitting_net(sp), slot.x, num_frames * atoms,
-                          slot.cache, curvature);
+    nn::mlp_forward_batch(model.fitting_net(sp), slot.x, fit_rows[sp], slot.cache,
+                          curvature);
   }
   workspace.energies.resize(num_frames);
   for (std::size_t f = 0; f < num_frames; ++f) {
-    double energy = static_cast<double>(n) * model.energy_bias_per_atom();
-    for (std::size_t i = 0; i < n; ++i) {
+    const FrameGeometry& geometry = *frames[f];
+    double energy =
+        static_cast<double>(geometry.num_centers) * model.energy_bias_per_atom();
+    for (std::size_t i = geometry.first_center; i < geometry.end_center(); ++i) {
       const auto sp = static_cast<std::size_t>(types[i]);
-      const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-      energy += workspace.fit[sp].cache.out()[f * atoms + atom_slot_[i]];
+      energy += workspace.fit[sp].cache.out()[fit_row(workspace, geometry, f, i, sp)];
     }
     workspace.energies[f] = energy;
   }
@@ -254,10 +271,9 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   // descriptor adjoints in fit[sp].x_bar.  No parameter accumulation here:
   // in training the tangent pass carries the energy term via its seeds.
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-    if (atoms == 0) continue;
+    const std::size_t rows = fit_rows[sp];
+    if (rows == 0) continue;
     FastWorkspace::NetSlot& slot = workspace.fit[sp];
-    const std::size_t rows = num_frames * atoms;
     slot.out_bar.assign(rows, 1.0);
     slot.x_bar.resize(rows * dwidth);
     nn::mlp_backward_batch(model.fitting_net(sp), slot.x, rows, slot.cache,
@@ -266,15 +282,15 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
 
   // Descriptor reverse: Tbar[p][c] = sum_b Dbar[p][b] T[b][c]
   //                               + [p < m2] sum_a Dbar[a][p] T[a][c].
-  workspace.t_bar.resize(num_frames * n * m1_ * 4);
+  workspace.t_bar.resize(workspace.t.size());
   for (std::size_t f = 0; f < num_frames; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
+    const FrameGeometry& geometry = *frames[f];
+    for (std::size_t i = geometry.first_center; i < geometry.end_center(); ++i) {
       const auto sp = static_cast<std::size_t>(types[i]);
-      const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
       const double* dbar = workspace.fit[sp].x_bar.data() +
-                           (f * atoms + atom_slot_[i]) * dwidth;
-      const double* tblock = workspace.t.data() + (f * n + i) * m1_ * 4;
-      double* tbar = workspace.t_bar.data() + (f * n + i) * m1_ * 4;
+                           fit_row(workspace, geometry, f, i, sp) * dwidth;
+      const double* tblock = workspace.t.data() + t_block(workspace, geometry, f, i);
+      double* tbar = workspace.t_bar.data() + t_block(workspace, geometry, f, i);
       for (std::size_t p = 0; p < m1_; ++p) {
         for (std::size_t c = 0; c < 4; ++c) {
           double acc = 0.0;
@@ -295,7 +311,6 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
   //   ubar_k  = s Rbar[k+1]
   //   dbar    = (ubar - (ubar.u) u)/r + sbar s'(r) u
   // with dbar flowing +into atom j and -into the center atom.
-  workspace.coord_bar.assign(num_frames * 3 * n, 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
     const std::size_t total = workspace.net_counts[net];
     if (total == 0) continue;
@@ -307,12 +322,12 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
       const FrameGeometry& geometry = *frames[f];
       const std::uint32_t begin = geometry.net_offsets[net];
       const std::uint32_t end = geometry.net_offsets[net + 1];
-      const double* tbar_frame = workspace.t_bar.data() + f * n * m1_ * 4;
       for (std::uint32_t p = begin; p < end; ++p, ++row) {
         const double s = geometry.s[p];
         const double row4[4] = {s, s * geometry.ux[p], s * geometry.uy[p],
                                 s * geometry.uz[p]};
-        const double* tbar = tbar_frame + geometry.center[p] * m1_ * 4;
+        const double* tbar = workspace.t_bar.data() +
+                             t_block(workspace, geometry, f, geometry.center[p]);
         double* gbar = slot.out_bar.data() + row * m1_;
         for (std::size_t m = 0; m < m1_; ++m) {
           double acc = 0.0;
@@ -329,11 +344,11 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
       const FrameGeometry& geometry = *frames[f];
       const std::uint32_t begin = geometry.net_offsets[net];
       const std::uint32_t end = geometry.net_offsets[net + 1];
-      const double* tbar_frame = workspace.t_bar.data() + f * n * m1_ * 4;
-      double* coord_bar = workspace.coord_bar.data() + f * 3 * n;
+      double* coord_bar = coord_bar_all.data() + f * 3 * n;
       for (std::uint32_t p = begin; p < end; ++p, ++row) {
         const double u[3] = {geometry.ux[p], geometry.uy[p], geometry.uz[p]};
-        const double* tbar = tbar_frame + geometry.center[p] * m1_ * 4;
+        const double* tbar = workspace.t_bar.data() +
+                             t_block(workspace, geometry, f, geometry.center[p]);
         const double* g = g_all.data() + row * m1_;
         double rbar[4];
         for (std::size_t c = 0; c < 4; ++c) {
@@ -366,6 +381,8 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
   const std::size_t n = model.num_atoms();
   const double nu = model.sel_norm();
   const std::size_t dwidth = m1_ * m2_;
+  const std::size_t* fit_rows =
+      workspace.fit_base.data() + num_frames * md::kNumSpecies;
 
   workspace.u_dot.resize(3 * workspace.net_row_offset.back());
 
@@ -403,7 +420,7 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
 
   // Tdot[m][c] = nu * sum_j (gdot[m] R[c] + g[m] Rdot[c]),
   // Rdot = [sdot, sdot u + s udot].
-  workspace.t_dot.assign(num_frames * n * m1_ * 4, 0.0);
+  workspace.t_dot.assign(workspace.t.size(), 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
     if (workspace.net_counts[net] == 0) continue;
     FastWorkspace::NetSlot& slot = workspace.embed[net];
@@ -415,7 +432,6 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
       const FrameGeometry& geometry = *frames[f];
       const std::uint32_t begin = geometry.net_offsets[net];
       const std::uint32_t end = geometry.net_offsets[net + 1];
-      double* t_dot_frame = workspace.t_dot.data() + f * n * m1_ * 4;
       for (std::uint32_t p = begin; p < end; ++p, ++row, ++local) {
         const double s = geometry.s[p];
         const double u[3] = {geometry.ux[p], geometry.uy[p], geometry.uz[p]};
@@ -427,7 +443,8 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
                                    sdot * u[2] + s * udot[2]};
         const double* g = g_all.data() + local * m1_;
         const double* gdot = gdot_all.data() + local * m1_;
-        double* tdot = t_dot_frame + geometry.center[p] * m1_ * 4;
+        double* tdot = workspace.t_dot.data() +
+                       t_block(workspace, geometry, f, geometry.center[p]);
         for (std::size_t m = 0; m < m1_; ++m) {
           for (std::size_t c = 0; c < 4; ++c) {
             tdot[m * 4 + c] += nu * (gdot[m] * row4[c] + g[m] * row_dot[c]);
@@ -444,17 +461,16 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
   // tangent of the loss's energy seed -- which is how the energy-term
   // gradient rides this pass (DESIGN.md section 13).
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-    workspace.fit[sp].x_dot.resize(num_frames * atoms * dwidth);
+    workspace.fit[sp].x_dot.resize(fit_rows[sp] * dwidth);
   }
   for (std::size_t f = 0; f < num_frames; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
+    const FrameGeometry& geometry = *frames[f];
+    for (std::size_t i = geometry.first_center; i < geometry.end_center(); ++i) {
       const auto sp = static_cast<std::size_t>(types[i]);
-      const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
       double* dst = workspace.fit[sp].x_dot.data() +
-                    (f * atoms + atom_slot_[i]) * dwidth;
-      const double* tblock = workspace.t.data() + (f * n + i) * m1_ * 4;
-      const double* tdot = workspace.t_dot.data() + (f * n + i) * m1_ * 4;
+                    fit_row(workspace, geometry, f, i, sp) * dwidth;
+      const double* tblock = workspace.t.data() + t_block(workspace, geometry, f, i);
+      const double* tdot = workspace.t_dot.data() + t_block(workspace, geometry, f, i);
       for (std::size_t a = 0; a < m1_; ++a) {
         for (std::size_t b = 0; b < m2_; ++b) {
           double sum = 0.0;
@@ -468,16 +484,15 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
     }
   }
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-    if (atoms == 0) continue;
+    const std::size_t rows = fit_rows[sp];
+    if (rows == 0) continue;
     FastWorkspace::NetSlot& slot = workspace.fit[sp];
-    const std::size_t rows = num_frames * atoms;
     nn::mlp_jvp_batch(model.fitting_net(sp), slot.x_dot, rows, slot.cache);
     slot.out_bar_dot.resize(rows);
     for (std::size_t f = 0; f < num_frames; ++f) {
-      std::fill_n(slot.out_bar_dot.begin() +
-                      static_cast<std::ptrdiff_t>(f * atoms),
-                  atoms, workspace.e_coef[f]);
+      const std::size_t* base = workspace.fit_base.data() + f * md::kNumSpecies + sp;
+      std::fill(slot.out_bar_dot.data() + base[0],
+                slot.out_bar_dot.data() + base[md::kNumSpecies], workspace.e_coef[f]);
     }
     slot.x_bar_dot.resize(rows * dwidth);
     const std::span<double> grad_segment = grad.subspan(
@@ -490,18 +505,18 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
   // Tangent of the descriptor reverse (product rule on the Tbar formula):
   // Tbardot[p][c] = sum_b (Dbardot[p][b] T[b][c] + Dbar[p][b] Tdot[b][c])
   //             + [p < m2] sum_a (Dbardot[a][p] T[a][c] + Dbar[a][p] Tdot[a][c]).
-  workspace.t_bar_dot.resize(num_frames * n * m1_ * 4);
+  workspace.t_bar_dot.resize(workspace.t.size());
   for (std::size_t f = 0; f < num_frames; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
+    const FrameGeometry& geometry = *frames[f];
+    for (std::size_t i = geometry.first_center; i < geometry.end_center(); ++i) {
       const auto sp = static_cast<std::size_t>(types[i]);
-      const std::size_t atoms = species_offsets_[sp + 1] - species_offsets_[sp];
-      const double* dbar = workspace.fit[sp].x_bar.data() +
-                           (f * atoms + atom_slot_[i]) * dwidth;
-      const double* dbardot = workspace.fit[sp].x_bar_dot.data() +
-                              (f * atoms + atom_slot_[i]) * dwidth;
-      const double* tblock = workspace.t.data() + (f * n + i) * m1_ * 4;
-      const double* tdot = workspace.t_dot.data() + (f * n + i) * m1_ * 4;
-      double* tbardot = workspace.t_bar_dot.data() + (f * n + i) * m1_ * 4;
+      const std::size_t fit_offset = fit_row(workspace, geometry, f, i, sp) * dwidth;
+      const double* dbar = workspace.fit[sp].x_bar.data() + fit_offset;
+      const double* dbardot = workspace.fit[sp].x_bar_dot.data() + fit_offset;
+      const std::size_t t_offset = t_block(workspace, geometry, f, i);
+      const double* tblock = workspace.t.data() + t_offset;
+      const double* tdot = workspace.t_dot.data() + t_offset;
+      double* tbardot = workspace.t_bar_dot.data() + t_offset;
       for (std::size_t p = 0; p < m1_; ++p) {
         for (std::size_t c = 0; c < 4; ++c) {
           double acc = 0.0;
@@ -536,9 +551,6 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
       const FrameGeometry& geometry = *frames[f];
       const std::uint32_t begin = geometry.net_offsets[net];
       const std::uint32_t end = geometry.net_offsets[net + 1];
-      const double* tbar_frame = workspace.t_bar.data() + f * n * m1_ * 4;
-      const double* tbardot_frame =
-          workspace.t_bar_dot.data() + f * n * m1_ * 4;
       for (std::uint32_t p = begin; p < end; ++p, ++row, ++local) {
         const double s = geometry.s[p];
         const double u[3] = {geometry.ux[p], geometry.uy[p], geometry.uz[p]};
@@ -548,8 +560,9 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
         const double row_dot[4] = {sdot, sdot * u[0] + s * udot[0],
                                    sdot * u[1] + s * udot[1],
                                    sdot * u[2] + s * udot[2]};
-        const double* tbar = tbar_frame + geometry.center[p] * m1_ * 4;
-        const double* tbardot = tbardot_frame + geometry.center[p] * m1_ * 4;
+        const std::size_t t_offset = t_block(workspace, geometry, f, geometry.center[p]);
+        const double* tbar = workspace.t_bar.data() + t_offset;
+        const double* tbardot = workspace.t_bar_dot.data() + t_offset;
         double* gbardot = slot.out_bar_dot.data() + local * m1_;
         for (std::size_t m = 0; m < m1_; ++m) {
           double acc = 0.0;
@@ -571,8 +584,8 @@ void FastGraph::tangent_pass(std::span<const FrameGeometry* const> frames,
 md::ForceEnergy FastGraph::energy_forces(const FrameGeometry& geometry,
                                          FastWorkspace& workspace) const {
   const FrameGeometry* frame = &geometry;
-  primal_pass(std::span<const FrameGeometry* const>(&frame, 1), workspace,
-              /*training=*/false);
+  frame_primal_pass(std::span<const FrameGeometry* const>(&frame, 1), workspace,
+                    /*training=*/false);
   md::ForceEnergy out;
   out.energy = workspace.energies[0];
   out.forces.resize(geometry.num_atoms);
@@ -582,6 +595,18 @@ md::ForceEnergy FastGraph::energy_forces(const FrameGeometry& geometry,
     }
   }
   return out;
+}
+
+double FastGraph::accumulate_range(const FrameGeometry& geometry,
+                                   FastWorkspace& workspace,
+                                   std::span<double> coord_bar) const {
+  if (coord_bar.size() != 3 * model_->num_atoms()) {
+    throw util::ValueError("fast_graph: coord_bar span size mismatch");
+  }
+  const FrameGeometry* frame = &geometry;
+  primal_pass(std::span<const FrameGeometry* const>(&frame, 1), workspace,
+              /*training=*/false, coord_bar);
+  return workspace.energies[0];
 }
 
 double FastGraph::loss_and_grad(const FrameGeometry& geometry, double energy_ref,
@@ -617,11 +642,16 @@ void FastGraph::loss_and_grad_fused(std::span<const FrameTarget> frames,
     if (frames[f].forces_ref.size() != n) {
       throw util::ValueError("fast_graph: reference force count mismatch");
     }
-    workspace.frame_ptrs[f] = frames[f].geometry;
+    const FrameGeometry* geometry = frames[f].geometry;
+    if (geometry != nullptr &&
+        (geometry->first_center != 0 || geometry->num_centers != n)) {
+      throw util::ValueError("fast_graph: a training geometry must cover its whole frame");
+    }
+    workspace.frame_ptrs[f] = geometry;
   }
   const std::span<const FrameGeometry* const> geometries(workspace.frame_ptrs);
 
-  primal_pass(geometries, workspace, /*training=*/true);
+  frame_primal_pass(geometries, workspace, /*training=*/true);
 
   // Per frame: the force residual F_pred - F_ref is both the force part of
   // the loss and, scaled by -f_coef, the coordinate tangent direction of the

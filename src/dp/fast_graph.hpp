@@ -1,7 +1,7 @@
-// Analytic fused forward/backward kernels for DeepPot-SE.  Together with
-// dp::MdSession's chunked MD form of the primal pass (dp/md_session.hpp),
-// they are the only code in the shipped binaries that evaluates or
-// differentiates the model.
+// Analytic fused forward/backward kernels for DeepPot-SE: the only code in
+// the shipped binaries that evaluates or differentiates the model.
+// Training, validation, dp::Potential::evaluate (dp_test, dp_serve) and the
+// MD sessions (dp/md_session.hpp) all run these passes.
 //
 // DeePMD-kit trains through TensorFlow's double backprop; an autodiff tape
 // would allocate one node per scalar multiply, per neighbor, per atom, per
@@ -10,7 +10,8 @@
 // performing zero per-neighbor heap allocations in steady state:
 //
 //   * energy and forces (F = -dE/dx) -- one batched forward plus one
-//     analytic reverse sweep (inference: dp_test, dp_serve, validation);
+//     analytic reverse sweep (inference: dp_test, dp_serve, validation; an
+//     MD session runs it per tile of whole atoms, accumulate_range);
 //   * the full parameter gradient of the DeePMD loss, including the
 //     second-order force term dF/dtheta = -d2E/(dx dtheta), via
 //     forward-over-reverse: a tangent (dual-number) pass in the coordinate
@@ -48,8 +49,9 @@
 
 namespace dpho::dp {
 
-/// The one pair layout of the DeepPot-SE kernels: the in-cutoff pairs of a
-/// frame (or, in dp::MdSession, of one chunk of center atoms) with their
+/// The one pair layout of the DeepPot-SE kernels: the in-cutoff pairs of the
+/// center atoms [first_center, first_center + num_centers) of a frame -- the
+/// whole frame, or in dp::MdSession one tile of whole atoms -- with their
 /// geometry-only quantities.  Training frames are static, so the trainer
 /// builds each frame's geometry once per training; MD sessions refresh
 /// theirs in place every step.  Storage is SoA, net-major (grouped by the
@@ -57,7 +59,8 @@ namespace dpho::dp {
 /// is fixed by the caller's pair walk, so every sweep over pairs is
 /// deterministic.  Pair p of net e occupies index net_offsets[e] + p of
 /// every array; arrays may be longer than the net_offsets.back() pairs in
-/// use (MD sizes them to the candidate count).
+/// use (MD sizes them to the candidate count).  Neighbors may lie anywhere
+/// in the frame; `num_atoms` is the frame's atom count.
 struct FrameGeometry {
   std::vector<std::uint32_t> center;  // atom i
   std::vector<std::uint32_t> j;       // neighbor atom index
@@ -67,8 +70,11 @@ struct FrameGeometry {
   std::vector<double> ux, uy, uz;     // unit vector d / r
   std::vector<std::uint32_t> net_offsets;  // kNumSpecies^2 + 1 entries
   std::size_t num_atoms = 0;
+  std::size_t first_center = 0;  // the center atoms are a contiguous range
+  std::size_t num_centers = 0;
 
   std::size_t size() const { return net_offsets.empty() ? 0 : net_offsets.back(); }
+  std::size_t end_center() const { return first_center + num_centers; }
   std::size_t net_count(std::size_t net) const {
     return net_offsets[net + 1] - net_offsets[net];
   }
@@ -113,8 +119,8 @@ struct FrameGeometry {
   }
 };
 
-/// Builds (into a reusable buffer) the geometry of `frame` from its neighbor
-/// list, reading each row's minimum-image displacement directly.  `list`
+/// Builds (into a reusable buffer) the whole-frame geometry of `frame` from
+/// its neighbor list, reading each row's minimum-image displacement directly.  `list`
 /// must be the frame's list at the model's cutoff
 /// (DeepPotModel::build_topology); throws util::ValueError when its atom
 /// count or cutoff does not match the model.
@@ -148,8 +154,8 @@ struct FastWorkspace {
   std::vector<NetSlot> embed;  // kNumSpecies^2 slots
   std::vector<NetSlot> fit;    // kNumSpecies slots
 
-  // Per-atom T-matrix blocks ((frames * num_atoms) x m1 x 4), frame-major,
-  // and their adjoints/tangents.
+  // Per-center T-matrix blocks (centers summed over frames, x m1 x 4),
+  // frame-major, and their adjoints/tangents.
   std::vector<double> t, t_bar, t_dot, t_bar_dot;
   std::vector<double> coord_bar;  // 3N per frame: dE/dx (forces = -this)
   std::vector<double> lambda;     // 3N per frame: scaled coordinate tangent
@@ -159,6 +165,11 @@ struct FastWorkspace {
   // Fused batch bookkeeping (sized per call).
   std::vector<std::size_t> net_counts;      // per net: rows summed over frames
   std::vector<std::size_t> net_row_offset;  // prefix sums of net_counts
+  // Per-frame bases (frames + 1 entries each): frame f's T blocks start at
+  // block center_base[f], its species-sp fitting rows at row
+  // fit_base[f * kNumSpecies + sp].  The last entry holds the totals.
+  std::vector<std::size_t> center_base;
+  std::vector<std::size_t> fit_base;
   std::vector<const FrameGeometry*> frame_ptrs;
 };
 
@@ -168,9 +179,17 @@ class FastGraph {
   /// grouping and flat parameter offsets are derived once here.
   explicit FastGraph(const DeepPotModel& model);
 
-  /// Energy + forces.
+  /// Energy of the geometry's center range and the forces it exerts on
+  /// every atom (the whole frame's, for a build_frame_geometry geometry).
   md::ForceEnergy energy_forces(const FrameGeometry& geometry,
                                 FastWorkspace& workspace) const;
+
+  /// The MD entry point: adds (+=) dE/dx of the geometry's center range into
+  /// `coord_bar` (3 * num_atoms entries) and returns the range's energy,
+  /// num_centers * bias plus the atomic energies in atom order.  O(range),
+  /// never O(frame); records no dp.kernels.* metrics.
+  double accumulate_range(const FrameGeometry& geometry, FastWorkspace& workspace,
+                          std::span<double> coord_bar) const;
 
   /// DeePMD per-frame loss and its full analytic parameter gradient
   /// (written into `grad`, sized model.num_params(); overwritten, not
@@ -187,7 +206,8 @@ class FastGraph {
   /// per-frame gradients into `grad` (overwritten).  The per-frame gradient
   /// contributions accumulate in net-major batch order, which is fixed for a
   /// fixed frame list -- results are independent of thread count but DO
-  /// depend on how frames are grouped into fused calls.
+  /// depend on how frames are grouped into fused calls.  Every geometry must
+  /// cover its whole frame (util::ValueError otherwise).
   void loss_and_grad_fused(std::span<const FrameTarget> frames,
                            const LossWeights& weights, FastWorkspace& workspace,
                            std::span<double> grad,
@@ -195,13 +215,19 @@ class FastGraph {
 
  private:
   /// Forward + primal reverse over the fused frame list: fills
-  /// workspace.energies (per-frame energy) and workspace.coord_bar (dE/dx,
-  /// 3N per frame).  `training` additionally caches curvature for the
-  /// tangent pass.  The reverse pass never accumulates parameter gradients;
-  /// the tangent pass carries the energy term via its seed (see
-  /// DESIGN.md section 13).
+  /// workspace.energies (per-frame energy of each center range) and adds
+  /// (+=) dE/dx into `coord_bar` (3N per frame).  `training` additionally
+  /// caches curvature for the tangent pass.  The reverse pass never
+  /// accumulates parameter gradients; the tangent pass carries the energy
+  /// term via its seed (see DESIGN.md section 13).
   void primal_pass(std::span<const FrameGeometry* const> frames,
-                   FastWorkspace& workspace, bool training) const;
+                   FastWorkspace& workspace, bool training,
+                   std::span<double> coord_bar) const;
+
+  /// primal_pass for training and evaluation frames: zeroes
+  /// workspace.coord_bar, runs the pass into it and records dp.kernels.*.
+  void frame_primal_pass(std::span<const FrameGeometry* const> frames,
+                         FastWorkspace& workspace, bool training) const;
 
   /// Tangent (forward-over-reverse) pass along workspace.lambda with output
   /// tangent-adjoint seeds workspace.e_coef[frame]; accumulates (+=) the
@@ -214,13 +240,29 @@ class FastGraph {
   void size_workspace(std::span<const FrameGeometry* const> frames,
                       FastWorkspace& workspace) const;
 
+  /// Atoms of species `sp` among atoms [0, i).
+  std::size_t species_before(std::size_t i, std::size_t sp) const {
+    return species_before_[i * md::kNumSpecies + sp];
+  }
+  /// Row of center `i` of fused frame `f` in its species' fitting batch.
+  std::size_t fit_row(const FastWorkspace& workspace, const FrameGeometry& geometry,
+                      std::size_t f, std::size_t i, std::size_t sp) const {
+    return workspace.fit_base[f * md::kNumSpecies + sp] + species_before(i, sp) -
+           species_before(geometry.first_center, sp);
+  }
+  /// Offset of center `i`'s T block (m1 x 4) of fused frame `f`.
+  std::size_t t_block(const FastWorkspace& workspace, const FrameGeometry& geometry,
+                      std::size_t f, std::size_t i) const {
+    return (workspace.center_base[f] + i - geometry.first_center) * m1_ * 4;
+  }
+
   const DeepPotModel* model_;
   std::size_t m1_ = 0;  // embedding output width
   std::size_t m2_ = 0;  // axis neurons
-  // Atoms grouped by species for batched fitting-net dispatch.
-  std::vector<std::uint32_t> species_atoms_;    // grouped atom indices
-  std::vector<std::uint32_t> species_offsets_;  // kNumSpecies + 1
-  std::vector<std::uint32_t> atom_slot_;        // atom -> row in its batch
+  // Per-species prefix counts, (num_atoms + 1) x kNumSpecies: fitting rows
+  // group atoms by species in atom order, so an atom's row, a species'
+  // batch size and a center range's rows all follow from this table.
+  std::vector<std::uint32_t> species_before_;
   // Flat parameter offsets (gather_params order: embeddings then fittings).
   std::vector<std::size_t> embed_param_offset_;
   std::vector<std::size_t> fit_param_offset_;

@@ -1,5 +1,7 @@
 #include "hpc/thread_pool.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace dpho::hpc {
@@ -103,7 +105,8 @@ void ThreadPool::parallel_for(std::size_t count,
     loop->done.wait(lock, [&] {
       return loop->remaining.load(std::memory_order_acquire) == 0;
     });
-    if (loop->error) std::rethrow_exception(loop->error);
+    // Moved out: a helper may drop the last reference to `loop` after we return.
+    if (loop->error) std::rethrow_exception(std::exchange(loop->error, nullptr));
   }
 }
 

@@ -42,7 +42,13 @@ void NeighborList::build(const Box& box, const std::vector<Vec3>& positions,
     throw util::ValueError("neighbor cutoff exceeds half the box edge");
   }
   cutoff_ = cutoff;
-  const auto cells_per_side = static_cast<std::size_t>(box.length() / cutoff);
+  // Cells at least one cutoff wide, capped near one atom per cell (but not
+  // below the 3 the stencil needs) in floating point, so a tiny cutoff
+  // cannot overflow the cast.  Rows do not depend on the grid.
+  const double max_cells = std::max(
+      3.0, std::ceil(std::cbrt(static_cast<double>(positions.size()))));
+  const auto cells_per_side =
+      static_cast<std::size_t>(std::min(box.length() / cutoff, max_cells));
   bool use_cells = cells_per_side >= 3;
   if (mode == NeighborBuild::kBruteForce) use_cells = false;
   if (mode == NeighborBuild::kCells && !use_cells) {

@@ -12,8 +12,10 @@
 // Determinism contract: results are a pure function of (potential, options,
 // state) -- never of the thread count.  The atom range is split into a fixed
 // chunk partition (derived from N alone); chunks may run on any pool thread,
-// but each chunk writes only the forces of its own contiguous atom range and
-// its own energy partial, and partials are combined serially in chunk order.
+// but each chunk writes only its own outputs -- the forces of its own
+// contiguous atom range (reference backend) or its own full-3N adjoint
+// buffer, filled tile by tile by dp::FastGraph (NNP backend) -- and its own
+// energy partial, and partials are combined serially in chunk order.
 // NeighborList rows come in ascending neighbor id and the skeleton copies
 // them without sorting, so a session with a stale skin list walks pairs in
 // exactly the order a fresh rebuild would -- trajectories are bit-identical

@@ -16,6 +16,7 @@
 // SIGTERM/SIGINT stop the serve loop after the current round and exit 0;
 // the on-disk checkpoints are the recovery point (the chaos harness SIGKILLs
 // the daemon mid-run and asserts the resumed archives stay byte-identical).
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -31,9 +32,12 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_shutdown = 0;
+// Set by the signal handler and the main thread, read by the watcher thread.
+std::atomic<bool> g_shutdown{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the shutdown flag is written from a signal handler");
 
-void on_signal(int) { g_shutdown = 1; }
+void on_signal(int) { g_shutdown.store(true); }
 
 // The dpho_worker binary normally sits next to dpho_sched in the build tree;
 // resolve it relative to the running executable so `dpho_sched --cluster
@@ -141,13 +145,13 @@ int main(int argc, char** argv) {
     // A signal-watcher thread flips the server's stop flag so the serve loop
     // (which may be inside a pool pump) exits after its current round.
     std::thread watcher([&server] {
-      while (g_shutdown == 0 && !server.stopping()) {
+      while (!g_shutdown.load() && !server.stopping()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
       server.request_stop();
     });
     server.serve_forever();
-    g_shutdown = 1;
+    g_shutdown.store(true);
     watcher.join();
     std::printf("dpho_sched: stopped after %llu request(s)\n",
                 static_cast<unsigned long long>(server.requests_served()));

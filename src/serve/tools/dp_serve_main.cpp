@@ -17,6 +17,7 @@
 // metrics_summary.json next to it on exit.
 // --debug-delay holds every request for S seconds in the worker -- the chaos
 // harness uses it to land signals while a request is provably in flight.
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -30,9 +31,12 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_shutdown = 0;
+// Set by the signal handler, polled by the main loop.
+std::atomic<bool> g_shutdown{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the shutdown flag is written from a signal handler");
 
-void on_signal(int) { g_shutdown = 1; }
+void on_signal(int) { g_shutdown.store(true); }
 
 }  // namespace
 
@@ -103,7 +107,7 @@ int main(int argc, char** argv) {
       util::atomic_write_file(args.get("--port-file", std::string()),
                               std::to_string(server.port()) + "\n");
     }
-    while (g_shutdown == 0) {
+    while (!g_shutdown.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     std::printf("dp_serve: draining\n");

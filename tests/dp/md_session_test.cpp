@@ -10,6 +10,7 @@
 #include "dp/trainer.hpp"
 #include "hpc/thread_pool.hpp"
 #include "md/integrator.hpp"
+#include "md/system.hpp"
 #include "md/simulation.hpp"
 #include "support/alloc_hook.hpp"
 #include "util/error.hpp"
@@ -108,15 +109,24 @@ TEST_F(NnpSessionSuite, MatchesWholeFramePotentialEvaluate) {
   frame.forces.resize(state.size());
   frame.box_length = state.box_length;
   const md::ForceEnergy reference = potential_->evaluate(frame);
-  // Chunked session vs whole-frame FastGraph: different (fixed) summation
-  // orders, so agreement is to rounding.
-  EXPECT_NEAR(energy, reference.energy,
-              1e-9 * std::max(1.0, std::abs(reference.energy)));
+  // Ten atoms are one chunk of one tile: the session runs the very pass
+  // Potential::evaluate runs, so the results are IEEE-equal (an isolated
+  // atom's zero force may differ in sign only).
+  ASSERT_EQ(session->num_tiles(), 1u);
+  EXPECT_EQ(energy, reference.energy);
   for (std::size_t i = 0; i < state.size(); ++i) {
     for (std::size_t k = 0; k < 3; ++k) {
-      EXPECT_NEAR(forces[i][k], reference.forces[i][k], 1e-9)
+      EXPECT_EQ(forces[i][k], reference.forces[i][k])
           << "atom " << i << " component " << k;
     }
+  }
+}
+
+TEST_F(NnpSessionSuite, RejectsNonFiniteSkin) {
+  for (const double skin : {std::nan(""), HUGE_VAL, -1.0}) {
+    md::SessionOptions options;
+    options.skin = skin;
+    EXPECT_THROW(potential_->make_md_session(options), util::ValueError) << skin;
   }
 }
 
@@ -220,6 +230,155 @@ TEST_F(NnpSessionSuite, RejectsWrongAtomCountAndBox) {
   md::SystemState resized = state;
   resized.box_length *= 1.5;
   EXPECT_THROW(session->compute(resized, forces), util::ValueError);
+}
+
+// A random-parameter model (no training, small widths) on 800 atoms, more
+// than 3 * kTileAtoms.  max_chunks = 3 makes chunks of 266-267 atoms, so
+// each chunk runs two tiles into its adjoint buffer; with 2 and 4 busy
+// threads the chunks run in 2 and 3 lanes.
+class TiledSessionSuite : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    util::Rng rng(61);
+    initial_ = new md::SystemState(
+        md::SystemSpec::scaled_system(80).create_initial_state(300.0, rng));
+    ModelSpec spec;
+    spec.descriptor.rcut = 4.5;
+    spec.descriptor.rcut_smth = 2.0;
+    spec.descriptor.neuron = {4, 8};
+    spec.descriptor.axis_neuron = 3;
+    spec.descriptor.sel = 4;  // a small norm, so the forces are not tiny
+    spec.fitting.neuron = {12, 12};
+    potential_ = new Potential(DeepPotModel(spec, initial_->types, -1.5, 62));
+  }
+  static void TearDownTestSuite() {
+    delete potential_;
+    delete initial_;
+    potential_ = nullptr;
+    initial_ = nullptr;
+  }
+
+  static md::SessionOptions options(hpc::ThreadPool* pool, double skin = 0.6) {
+    md::SessionOptions out;
+    out.max_chunks = 3;
+    out.skin = skin;
+    out.pool = pool;
+    return out;
+  }
+
+  struct Trajectory {
+    md::SystemState state;
+    std::vector<md::Vec3> forces;
+  };
+
+  static Trajectory run_trajectory(const md::SessionOptions& session_options,
+                                   std::size_t steps) {
+    Trajectory out{*initial_, {}};
+    auto session = potential_->make_md_session(session_options);
+    const md::VelocityVerlet integrator(0.5);
+    out.forces.assign(out.state.size(), md::Vec3{0.0, 0.0, 0.0});
+    session->compute(out.state, out.forces);
+    EXPECT_EQ(session->num_chunks(), 3u);
+    EXPECT_EQ(session->num_tiles(), 6u);
+    for (std::size_t step = 0; step < steps; ++step) {
+      integrator.step(out.state, *session, out.forces);
+    }
+    return out;
+  }
+
+  static md::SystemState* initial_;
+  static Potential* potential_;
+};
+
+md::SystemState* TiledSessionSuite::initial_ = nullptr;
+Potential* TiledSessionSuite::potential_ = nullptr;
+
+TEST_F(TiledSessionSuite, ThreadCountAndSkinParityBitwise) {
+  ASSERT_GE(initial_->size(), 3 * MdSession::kTileAtoms);
+  const Trajectory baseline = run_trajectory(options(nullptr), 20);
+  for (const std::size_t threads : {2u, 4u}) {
+    hpc::ThreadPool pool(threads - 1);  // the caller is a busy thread too
+    const Trajectory run = run_trajectory(options(&pool), 20);
+    EXPECT_TRUE(bitwise_equal(run.state.positions, baseline.state.positions))
+        << threads << " threads";
+    EXPECT_TRUE(bitwise_equal(run.state.velocities, baseline.state.velocities))
+        << threads << " threads";
+    EXPECT_TRUE(bitwise_equal(run.forces, baseline.forces)) << threads << " threads";
+  }
+  const Trajectory fresh = run_trajectory(options(nullptr, 0.0), 20);
+  EXPECT_TRUE(bitwise_equal(fresh.state.positions, baseline.state.positions));
+  EXPECT_TRUE(bitwise_equal(fresh.state.velocities, baseline.state.velocities));
+  EXPECT_TRUE(bitwise_equal(fresh.forces, baseline.forces));
+}
+
+TEST_F(TiledSessionSuite, SteadyAndRebuildStepsAllocateNothing) {
+  hpc::ThreadPool pool(3);
+  // Steady steps: tiny moves never trigger the skin.
+  {
+    md::SystemState state = *initial_;
+    auto session = potential_->make_md_session(options(&pool));
+    std::vector<md::Vec3> forces(state.size());
+    for (int warm = 0; warm < 3; ++warm) {
+      session->compute(state, forces);
+      for (auto& r : state.positions) r[0] += 1e-5;
+    }
+    const std::size_t rebuilds_before = session->neighbor_rebuilds();
+    testsupport::reset_alloc_count();
+    for (int step = 0; step < 10; ++step) {
+      for (auto& r : state.positions) r[0] += 1e-5;
+      session->compute(state, forces);
+    }
+    EXPECT_EQ(testsupport::alloc_count(), 0u) << "steady steps";
+    EXPECT_EQ(session->neighbor_rebuilds(), rebuilds_before);
+  }
+  // Rebuild steps: two configurations 0.43 A apart, more than skin / 2.
+  const md::SystemState a = *initial_;
+  md::SystemState b = a;
+  util::Rng rng(63);
+  for (md::Vec3& r : b.positions) {
+    for (double& x : r) x += rng.bernoulli(0.5) ? 0.25 : -0.25;
+  }
+  for (hpc::ThreadPool* maybe_pool : {static_cast<hpc::ThreadPool*>(nullptr), &pool}) {
+    auto session = potential_->make_md_session(options(maybe_pool));
+    std::vector<md::Vec3> forces(a.size());
+    session->compute(a, forces);  // warm-up cycle
+    session->compute(b, forces);
+    const std::size_t rebuilds_before = session->neighbor_rebuilds();
+    testsupport::reset_alloc_count();
+    for (int step = 0; step < 6; ++step) {
+      session->compute(step % 2 == 0 ? a : b, forces);
+    }
+    EXPECT_EQ(testsupport::alloc_count(), 0u) << (maybe_pool ? "4 threads" : "no pool");
+    EXPECT_EQ(session->neighbor_rebuilds() - rebuilds_before, 6u);
+  }
+}
+
+TEST_F(TiledSessionSuite, MatchesWholeFramePotentialEvaluate) {
+  // Tiles sum their energies and force adjoints tile by tile, the whole
+  // frame in one pass, so the two agree to rounding.
+  const Trajectory run = run_trajectory(options(nullptr), 10);
+  auto session = potential_->make_md_session(options(nullptr));
+  std::vector<md::Vec3> forces(run.state.size());
+  const double energy = session->compute(run.state, forces);
+
+  md::Frame frame;
+  frame.positions = run.state.positions;
+  frame.forces.resize(run.state.size());
+  frame.box_length = run.state.box_length;
+  const md::ForceEnergy reference = potential_->evaluate(frame);
+  EXPECT_TRUE(std::isfinite(energy));
+  EXPECT_NEAR(energy, reference.energy,
+              1e-9 * std::max(1.0, std::abs(reference.energy)));
+  double largest = 0.0;
+  for (std::size_t i = 0; i < forces.size(); ++i) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      ASSERT_TRUE(std::isfinite(forces[i][k])) << "atom " << i;
+      EXPECT_NEAR(forces[i][k], reference.forces[i][k], 1e-9)
+          << "atom " << i << " component " << k;
+      largest = std::max(largest, std::abs(forces[i][k]));
+    }
+  }
+  EXPECT_GT(largest, 1e-3);  // the model exerts real forces
 }
 
 }  // namespace

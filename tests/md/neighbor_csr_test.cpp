@@ -124,6 +124,7 @@ void expect_bytewise_equal(const NeighborList& got, const NeighborList& want) {
     const std::span<const Neighbor> row = got.neighbors_of(i);
     const std::span<const Neighbor> expected = want.neighbors_of(i);
     ASSERT_EQ(row.size(), expected.size()) << "atom " << i;
+    if (row.empty()) continue;  // an empty list's data() may be null
     ASSERT_EQ(std::memcmp(row.data(), expected.data(), row.size_bytes()), 0)
         << "atom " << i;
     for (std::size_t k = 1; k < row.size(); ++k) {
@@ -158,6 +159,33 @@ TEST(NeighborCsr, CellListEqualsExactScanBytewiseOnAnyPool) {
       expect_bytewise_equal(reused, exact);
     }
   }
+}
+
+TEST(NeighborCsr, TinyCutoffCapsTheGridAndEqualsExactScan) {
+  // L / cutoff alone would ask for 1,000 cells per side (10^9 bins) at
+  // 0.05 A in a 50 A box, and for more than size_t holds at 1e-300 A.  The
+  // grid is capped near cbrt(n) instead; rows are the exact scan's.
+  util::Rng rng(404);
+  const double box_length = 50.0;
+  const Box box(box_length);
+  std::vector<Vec3> positions = random_positions(400, box_length, rng);
+  // Partners 0.01-0.02 A and 5e-7 A away, so the tiny cutoffs see pairs.
+  for (std::size_t k = 0; k < 40; ++k) {
+    const Vec3 r = positions[k];
+    positions.push_back(Vec3{r[0] + 0.01, r[1] + rng.uniform(-0.01, 0.01), r[2]});
+  }
+  positions.push_back(Vec3{positions[0][0] + 5e-7, positions[0][1], positions[0][2]});
+  for (const double cutoff : {0.05, 1e-6, 1e-300}) {
+    SCOPED_TRACE("cutoff " + std::to_string(cutoff));
+    const NeighborList exact(box, positions, cutoff, NeighborBuild::kBruteForce);
+    for (const NeighborBuild mode : {NeighborBuild::kCells, NeighborBuild::kAuto}) {
+      const NeighborList cells(box, positions, cutoff, mode);
+      EXPECT_TRUE(cells.used_cells());
+      expect_bytewise_equal(cells, exact);
+    }
+  }
+  const NeighborList list(box, positions, 0.05);
+  EXPECT_EQ(list.neighbors_of(0).size(), 2u);  // the 0.01 A and 5e-7 A partners
 }
 
 TEST(NeighborCsr, CoincidentAndIsolatedAtoms) {

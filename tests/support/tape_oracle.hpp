@@ -15,8 +15,8 @@
 //   * a plain-double energy that walks one neighbor at a time, the value the
 //     finite-difference tests differentiate numerically.
 //
-// No shipped binary links this library; a ctest keeps ad/tape.hpp out of
-// src/ outside src/ad/.
+// No shipped binary links this library or the tape under it
+// (tests/support/ad); a ctest keeps ad/tape.hpp out of src/.
 #pragma once
 
 #include <cstddef>
