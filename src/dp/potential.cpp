@@ -6,15 +6,22 @@
 
 namespace dpho::dp {
 
+namespace {
+
+// Runs before graph_ is built from the model.
+const DeepPotModel& checked(const std::shared_ptr<const DeepPotModel>& model) {
+  return model ? *model : throw util::ValueError("Potential: null model");
+}
+
+}  // namespace
+
 Potential::Potential(DeepPotModel model)
     : Potential(std::make_shared<const DeepPotModel>(std::move(model))) {}
 
 Potential::Potential(std::shared_ptr<const DeepPotModel> model)
     : model_(std::move(model)),
-      graph_(*model_),
-      scratch_(std::make_unique<hpc::ThreadScratch<EvalScratch>>()) {
-  if (!model_) throw util::ValueError("Potential: null model");
-}
+      graph_(checked(model_)),
+      scratch_(std::make_unique<hpc::ThreadScratch<EvalScratch>>()) {}
 
 Potential Potential::borrow(const DeepPotModel& model) {
   // Non-owning aliasing handle; the caller guarantees the model's lifetime.

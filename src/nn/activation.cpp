@@ -1,7 +1,9 @@
 #include "nn/activation.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/simd.hpp"
 #include "util/error.hpp"
 
 namespace dpho::nn {
@@ -30,64 +32,102 @@ std::string to_string(Activation activation) {
   throw util::ValueError("invalid activation enum");
 }
 
-double apply(Activation activation, double x) {
+namespace {
+
+/// One exp per element on either branch.
+double sigmoid(double x) {
+  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+  const double e = std::exp(x);
+  return e / (1.0 + e);
+}
+
+}  // namespace
+
+void activate(Activation activation, const double* z, double* y, double* sp,
+              double* spp, std::size_t n) {
   switch (activation) {
-    case Activation::kRelu: return x > 0.0 ? x : 0.0;
-    case Activation::kRelu6: return x <= 0.0 ? 0.0 : (x >= 6.0 ? 6.0 : x);
-    case Activation::kSoftplus:
-      if (x > 30.0) return x;
-      if (x < -30.0) return std::exp(x);
-      return std::log1p(std::exp(x));
+    case Activation::kTanh:
+      // sp = 1 - t^2, spp = -2 t (1 - t^2)
+      simd::active().tanh(z, y, sp, spp, n);
+      return;
     case Activation::kSigmoid:
-      if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-      return std::exp(x) / (1.0 + std::exp(x));
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kIdentity: return x;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double s = sigmoid(z[k]);
+        y[k] = s;
+        sp[k] = s * (1.0 - s);
+      }
+      // sigmoid'' = s (1 - s) (1 - 2s)
+      if (spp != nullptr) {
+        for (std::size_t k = 0; k < n; ++k) spp[k] = sp[k] * (1.0 - 2.0 * y[k]);
+      }
+      return;
+    case Activation::kSoftplus:
+      // softplus' = sigmoid, softplus'' = sigmoid' = s (1 - s).  Below zero
+      // softplus and sigmoid share exp(x).
+      for (std::size_t k = 0; k < n; ++k) {
+        const double x = z[k];
+        if (x >= 0.0) {
+          y[k] = x > 30.0 ? x : std::log1p(std::exp(x));
+          sp[k] = sigmoid(x);
+        } else {
+          const double e = std::exp(x);
+          y[k] = x < -30.0 ? e : std::log1p(e);
+          sp[k] = e / (1.0 + e);
+        }
+      }
+      if (spp != nullptr) {
+        for (std::size_t k = 0; k < n; ++k) spp[k] = sp[k] * (1.0 - sp[k]);
+      }
+      return;
+    // The kinked activations use the tape oracle's subgradient convention:
+    // the step derivatives are 0 everywhere, so sigma'' is identically 0.
+    case Activation::kRelu:
+      for (std::size_t k = 0; k < n; ++k) {
+        const double x = z[k];
+        y[k] = x > 0.0 ? x : 0.0;
+        sp[k] = x > 0.0 ? 1.0 : 0.0;
+      }
+      if (spp != nullptr) std::fill_n(spp, n, 0.0);
+      return;
+    case Activation::kRelu6:
+      for (std::size_t k = 0; k < n; ++k) {
+        const double x = z[k];
+        y[k] = x <= 0.0 ? 0.0 : (x >= 6.0 ? 6.0 : x);
+        sp[k] = (x > 0.0 && x < 6.0) ? 1.0 : 0.0;
+      }
+      if (spp != nullptr) std::fill_n(spp, n, 0.0);
+      return;
+    case Activation::kIdentity:
+      for (std::size_t k = 0; k < n; ++k) {
+        y[k] = z[k];
+        sp[k] = 1.0;
+      }
+      if (spp != nullptr) std::fill_n(spp, n, 0.0);
+      return;
   }
   throw util::ValueError("invalid activation enum");
 }
 
-double second_derivative(Activation activation, double x) {
-  switch (activation) {
-    case Activation::kRelu:
-    case Activation::kRelu6:
-    case Activation::kIdentity:
-      return 0.0;
-    case Activation::kSoftplus: {
-      // softplus'' = sigmoid' = s (1 - s)
-      const double s = apply(Activation::kSigmoid, x);
-      return s * (1.0 - s);
-    }
-    case Activation::kSigmoid: {
-      // sigmoid'' = s (1 - s) (1 - 2s)
-      const double s = apply(Activation::kSigmoid, x);
-      return s * (1.0 - s) * (1.0 - 2.0 * s);
-    }
-    case Activation::kTanh: {
-      // tanh'' = -2 t (1 - t^2)
-      const double t = std::tanh(x);
-      return -2.0 * t * (1.0 - t * t);
-    }
-  }
-  throw util::ValueError("invalid activation enum");
+double apply(Activation activation, double x) {
+  double y = 0.0;
+  double sp = 0.0;
+  activate(activation, &x, &y, &sp, nullptr, 1);
+  return y;
 }
 
 double derivative(Activation activation, double x) {
-  switch (activation) {
-    case Activation::kRelu: return x > 0.0 ? 1.0 : 0.0;
-    case Activation::kRelu6: return (x > 0.0 && x < 6.0) ? 1.0 : 0.0;
-    case Activation::kSoftplus: return apply(Activation::kSigmoid, x);
-    case Activation::kSigmoid: {
-      const double s = apply(Activation::kSigmoid, x);
-      return s * (1.0 - s);
-    }
-    case Activation::kTanh: {
-      const double t = std::tanh(x);
-      return 1.0 - t * t;
-    }
-    case Activation::kIdentity: return 1.0;
-  }
-  throw util::ValueError("invalid activation enum");
+  double y = 0.0;
+  double sp = 0.0;
+  activate(activation, &x, &y, &sp, nullptr, 1);
+  return sp;
+}
+
+double second_derivative(Activation activation, double x) {
+  double y = 0.0;
+  double sp = 0.0;
+  double spp = 0.0;
+  activate(activation, &x, &y, &sp, &spp, 1);
+  return spp;
 }
 
 }  // namespace dpho::nn

@@ -56,13 +56,8 @@ void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
     const double* biases = weights + layer.in * layer.out;
     ops.dense_forward(weights, biases, in_rows, batch, layer.in, layer.out, z);
     double* y = cache.y[l].data();
-    double* sp = cache.sp[l].data();
     double* spp = curvature == Curvature::kCache ? cache.spp[l].data() : nullptr;
-    for (std::size_t k = 0; k < batch * layer.out; ++k) {
-      y[k] = apply(layer.activation, z[k]);
-      sp[k] = derivative(layer.activation, z[k]);
-      if (spp != nullptr) spp[k] = second_derivative(layer.activation, z[k]);
-    }
+    activate(layer.activation, z, y, cache.sp[l].data(), spp, batch * layer.out);
     in_rows = y;
     offset += layer.in * layer.out + layer.out;
   }
@@ -173,34 +168,35 @@ void mlp_vjp_tangent_batch(const Mlp& mlp, std::span<const double> x,
     throw util::ValueError("mlp_vjp_tangent_batch: param_hvp size mismatch");
   }
 
-  std::vector<std::size_t> offsets(layers.size());
-  std::size_t offset = 0;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    offsets[l] = offset;
-    offset += layers[l].in * layers[l].out + layers[l].out;
-  }
-
   const simd::Ops& ops = simd::active();
   const double* params = mlp.params().data();
   // ybardot propagates in bar_b; zbardot is built in bar_a.  Both are sized
   // for the widest layer by the forward pass.
   const double* ybardot = out_bar_dot.empty() ? nullptr : out_bar_dot.data();
+  // Offsets peeled off the total back to front, as in mlp_backward_batch.
+  std::size_t offset = mlp.num_params();
   for (std::size_t l = layers.size(); l-- > 0;) {
     const LayerSpec& layer = layers[l];
+    offset -= layer.in * layer.out + layer.out;
     const double* sp = cache.sp[l].data();
     const double* sppybar = cache.spp[l].data();  // s''(z) . ybar (folded)
     const double* zbar = cache.zbar[l].data();
     const double* zdot = cache.zdot[l].data();
     double* zbardot = cache.bar_a.data();
     // zbardot = s''(z).ybar.zdot + s'(z).ybardot  (d/de of zbar = s'(z).ybar)
-    for (std::size_t k = 0; k < batch * layer.out; ++k) {
-      zbardot[k] = sppybar[k] * zdot[k] + (ybardot != nullptr ? sp[k] * ybardot[k] : 0.0);
+    const std::size_t n = batch * layer.out;
+    if (ybardot != nullptr) {
+      for (std::size_t k = 0; k < n; ++k) {
+        zbardot[k] = sppybar[k] * zdot[k] + sp[k] * ybardot[k];
+      }
+    } else {
+      // + 0.0 as before the hoist: a -0.0 product still stores +0.0.
+      for (std::size_t k = 0; k < n; ++k) zbardot[k] = sppybar[k] * zdot[k] + 0.0;
     }
     const double* xin = l == 0 ? x.data() : cache.y[l - 1].data();
     const double* xin_dot = l == 0 ? xdot.data() : cache.ydot[l - 1].data();
     if (!param_hvp.empty()) {
-      const std::size_t base = offsets[l];
-      double* whvp = param_hvp.data() + base;
+      double* whvp = param_hvp.data() + offset;
       double* bhvp = whvp + layer.in * layer.out;
       // d/de (zbar x^T) = zbardot x^T + zbar xdot^T
       ops.dense_param_grad_tangent(xin, xin_dot, zbar, zbardot, batch, layer.in,
@@ -208,7 +204,7 @@ void mlp_vjp_tangent_batch(const Mlp& mlp, std::span<const double> x,
     }
     if (l > 0 || !x_bar_dot.empty()) {
       double* dest = l == 0 ? x_bar_dot.data() : cache.bar_b.data();
-      ops.dense_backward_input(params + offsets[l], zbardot, batch, layer.in,
+      ops.dense_backward_input(params + offset, zbardot, batch, layer.in,
                                layer.out, dest);
       ybardot = dest;
     }

@@ -1,17 +1,45 @@
 #include "nn/simd.hpp"
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+
+#include "nn/simd_tanh_core.hpp"
 
 namespace dpho::nn::simd {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar fallback: plain loops, identical arithmetic (and skip conditions) to
-// the original mlp_kernels inner loops, so a scalar build reproduces the
-// pre-SIMD numbers bit for bit.
+// Scalar table: plain loops.  The dense rows keep the arithmetic (and skip
+// conditions) of the original mlp_kernels inner loops; the tanh pass runs
+// the core element by element.
+
+/// The tanh core (simd_tanh_core.hpp), one element.
+double scalar_tanh_core(double x) {
+  using namespace tanh_core;
+  double a = std::fabs(x);
+  a = kClamp < a ? kClamp : a;  // as minpd(kClamp, a): a NaN passes through
+  const double v = -2.0 * a;
+  const double shifted = v * kInvLn2 + kRoundShift;
+  const double kf = shifted - kRoundShift;
+  const double r = (v - kf * kLn2Hi) - kf * kLn2Lo;
+  double c = kExpm1Coef[0];
+  for (std::size_t j = 1; j < std::size(kExpm1Coef); ++j) {
+    c = c * r + kExpm1Coef[j];
+  }
+  const double p = r + r * r * c;
+  // shifted's bit pattern is 1.5 * 2^52's plus k; adding the exponent bias
+  // and shifting out everything above the exponent field leaves 2^k.
+  const double two_k =
+      std::bit_cast<double>((std::bit_cast<std::uint64_t>(shifted) + 1023) << 52);
+  const double e = two_k * p + (two_k - 1.0);
+  return std::copysign(-e / (2.0 + e), x);
+}
 
 void scalar_dense_forward(const double* w, const double* bias, const double* x,
                           std::size_t batch, std::size_t in, std::size_t out,
@@ -80,9 +108,21 @@ void scalar_dense_param_grad_tangent(const double* x, const double* xdot,
   }
 }
 
+void scalar_tanh(const double* z, double* y, double* sp, double* spp,
+                 std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double t = scalar_tanh_core(z[k]);
+    y[k] = t;
+    sp[k] = 1.0 - t * t;
+  }
+  if (spp == nullptr) return;
+  for (std::size_t k = 0; k < n; ++k) spp[k] = -2.0 * y[k] * sp[k];
+}
+
 constexpr Ops kScalarOps = {scalar_dense_forward, scalar_dense_backward_input,
                             scalar_dense_param_grad,
-                            scalar_dense_param_grad_tangent, "scalar"};
+                            scalar_dense_param_grad_tangent, scalar_tanh,
+                            "scalar"};
 
 bool cpu_supports_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)

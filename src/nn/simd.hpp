@@ -1,14 +1,14 @@
-// Runtime-dispatched dense-layer primitives for the batched MLP kernels.
+// Runtime-dispatched primitives for the batched MLP kernels.
 //
-// Every hot loop in nn/mlp_kernels.cpp is one of five dense row operations
-// over sample-major SoA batches.  This header exposes them behind a function
-// table that is resolved once at first use:
+// Every hot loop in nn/mlp_kernels.cpp is one of four dense row operations
+// over sample-major SoA batches, or the tanh activation pass.  This header
+// exposes them behind a function table that is resolved once at first use:
 //
-//   * an AVX2/FMA implementation (src/nn/simd_avx2.cpp, compiled with
-//     -mavx2 -mfma when DPHO_ENABLE_SIMD is ON) selected when the running
-//     CPU reports both features, and
-//   * a portable scalar fallback that reproduces the original kernel loops
-//     exactly.
+//   * an AVX2 implementation selected when the running CPU reports AVX2 and
+//     FMA: the dense rows in src/nn/simd_avx2.cpp (-mavx2 -mfma) and the
+//     tanh pass in src/nn/simd_avx2_tanh.cpp (-mavx2 only), both compiled
+//     when DPHO_ENABLE_SIMD is ON, and
+//   * a portable scalar table of plain loops.
 //
 // Dispatch can be forced to scalar with the environment variable
 // DPHO_SIMD=off (read once at first use) or flipped at runtime with
@@ -18,18 +18,20 @@
 // Determinism: the AVX2 forward kernels split dot products across vector
 // lanes, so their reduction order differs from scalar and results can differ
 // from the scalar path by FMA-contraction-sized rounding (the parity tests
-// pin the tolerance).  Within either path, results are bit-reproducible and
-// independent of thread count: dispatch state is process-global and the
-// kernels carry no per-thread state.
+// pin the tolerance).  The tanh pass is the exception: both tables run one
+// core with the same operations in the same order and no FMA, so they agree
+// bit for bit at every length and offset.  Within either table,
+// results are bit-reproducible and independent of thread count: dispatch
+// state is process-global and the kernels carry no per-thread state.
 #pragma once
 
 #include <cstddef>
 
 namespace dpho::nn::simd {
 
-/// The dense-layer operation table one dispatch level provides.  All batches
-/// are sample-major: x is batch rows of `in` values, z is batch rows of
-/// `out` values, weights are row-major [out][in].
+/// The operation table one dispatch level provides.  All batches are
+/// sample-major: x is batch rows of `in` values, z is batch rows of `out`
+/// values, weights are row-major [out][in].
 struct Ops {
   /// z[s,o] = (bias ? bias[o] : 0) + sum_i w[o,i] x[s,i]
   void (*dense_forward)(const double* w, const double* bias, const double* x,
@@ -49,6 +51,13 @@ struct Ops {
                                    const double* zbar, const double* zbardot,
                                    std::size_t batch, std::size_t in,
                                    std::size_t out, double* whvp, double* bhvp);
+  /// y[k] = tanh(z[k]), sp[k] = 1 - y[k]^2 and, when spp is non-null,
+  /// spp[k] = -2 y[k] (1 - y[k]^2), for k < n.  tanh comes from one
+  /// branch-free core (simd_tanh_core.hpp): at most 3 ulp from glibc's
+  /// tanh, no libm call, tanh(+-0) = +-0, subnormals unchanged,
+  /// tanh(+-inf) = +-1, NaN stays NaN.  Bit-identical across tables.
+  void (*tanh)(const double* z, double* y, double* sp, double* spp,
+               std::size_t n);
   const char* name;  // "avx2-fma" or "scalar"
 };
 

@@ -1,5 +1,6 @@
 // AVX2/FMA dense-layer kernels.  This translation unit is the only one built
-// with -mavx2 -mfma (see src/nn/CMakeLists.txt); everything else stays at the
+// with -mavx2 -mfma (see src/nn/CMakeLists.txt); the table's tanh pass lives
+// in simd_avx2_tanh.cpp, built without FMA.  Everything else stays at the
 // baseline ISA and reaches these through the simd::active() dispatch table,
 // which only selects this table after __builtin_cpu_supports() confirms the
 // running CPU has both features.
@@ -15,6 +16,8 @@
 #if defined(DPHO_SIMD_AVX2)
 
 #include <immintrin.h>
+
+#include "nn/simd_tanh_core.hpp"
 
 namespace dpho::nn::simd {
 
@@ -165,7 +168,7 @@ void avx2_dense_param_grad_tangent(const double* x, const double* xdot,
 
 constexpr Ops kAvx2Ops = {avx2_dense_forward, avx2_dense_backward_input,
                           avx2_dense_param_grad, avx2_dense_param_grad_tangent,
-                          "avx2-fma"};
+                          avx2_tanh, "avx2-fma"};
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "dp/fast_graph.hpp"
 #include "dp/potential.hpp"
 #include "dp/trainer.hpp"
 #include "hpc/thread_pool.hpp"
@@ -379,6 +380,49 @@ TEST_F(TiledSessionSuite, MatchesWholeFramePotentialEvaluate) {
     }
   }
   EXPECT_GT(largest, 1e-3);  // the model exerts real forces
+}
+
+TEST(FusedTrainingStep, WarmFusedGradientAllocatesNothing) {
+  // The trainer's step on the paper's 160-atom frame: one fused 4-frame
+  // loss gradient through a warm workspace.  Three species and a 6 A cutoff
+  // give every one of the 9 embedding nets pairs, so they and the 3 fitting
+  // nets each run all four kernel passes.
+  util::Rng rng(71);
+  const md::SystemState state =
+      md::SystemSpec::scaled_system(16).create_initial_state(300.0, rng);
+  ModelSpec spec;
+  spec.descriptor.rcut = 6.0;
+  spec.descriptor.rcut_smth = 3.0;
+  spec.descriptor.neuron = {4, 8};
+  spec.descriptor.axis_neuron = 3;
+  spec.fitting.neuron = {12};
+  const DeepPotModel model(spec, state.types, -1.5, 72);
+  const FastGraph graph(model);
+  constexpr std::size_t kFrames = 4;
+  std::vector<md::Frame> frames(kFrames);
+  std::vector<FrameGeometry> geometries(kFrames);
+  std::vector<FrameTarget> targets(kFrames);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    md::Frame& frame = frames[f];
+    frame.positions = state.positions;
+    for (md::Vec3& r : frame.positions) {
+      for (double& x : r) x += rng.uniform(-0.05, 0.05);
+    }
+    frame.forces.assign(state.size(), md::Vec3{0.1, -0.2, 0.3});
+    frame.energy = -1.5 * static_cast<double>(state.size());
+    frame.box_length = state.box_length;
+    build_frame_geometry(model, frame, model.build_topology(frame), geometries[f]);
+    targets[f] = FrameTarget{&geometries[f], frame.energy, frame.forces};
+  }
+  const LossWeights weights{0.5, 20.0};
+  FastWorkspace workspace;
+  std::vector<double> grad(model.num_params());
+  std::vector<double> losses(kFrames);
+  graph.loss_and_grad_fused(targets, weights, workspace, grad, losses);  // warm-up
+  testsupport::reset_alloc_count();
+  graph.loss_and_grad_fused(targets, weights, workspace, grad, losses);
+  EXPECT_EQ(testsupport::alloc_count(), 0u);
+  EXPECT_TRUE(std::isfinite(losses[0]));
 }
 
 }  // namespace

@@ -113,6 +113,11 @@ TEST(Potential, RejectsMismatchedAtomCount) {
   EXPECT_THROW(potential.evaluate(frame), util::ValueError);
 }
 
+TEST(Potential, RejectsNullModel) {
+  // The pointer is checked before the kernel graph is built from it.
+  EXPECT_THROW(Potential(std::shared_ptr<const DeepPotModel>()), util::ValueError);
+}
+
 TEST(Potential, ForceProviderSurvivesSourcePotential) {
   md::ForceProvider provider = make_force_provider(Potential(tiny_model(71)));
   md::SystemState state;
