@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -45,6 +47,15 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
   const std::size_t n = types.size();
   if (frame.positions.size() != n) {
     throw util::ValueError("fast_graph: frame atom count does not match model");
+  }
+  // A non-finite coordinate would reach every energy and force as NaN.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const double x : frame.positions[i]) {
+      if (!std::isfinite(x)) {
+        throw util::ValueError("fast_graph: atom " + std::to_string(i) +
+                               " has a non-finite coordinate");
+      }
+    }
   }
   if (list.size() != n) {
     throw util::ValueError("fast_graph: neighbor list atom count does not match model");
@@ -276,8 +287,8 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
     FastWorkspace::NetSlot& slot = workspace.fit[sp];
     slot.out_bar.assign(rows, 1.0);
     slot.x_bar.resize(rows * dwidth);
-    nn::mlp_backward_batch(model.fitting_net(sp), slot.x, rows, slot.cache,
-                           slot.out_bar, slot.x_bar, {});
+    nn::mlp_backward_batch(model.fitting_net(sp), rows, slot.cache, slot.out_bar,
+                           slot.x_bar);
   }
 
   // Descriptor reverse: Tbar[p][c] = sum_b Dbar[p][b] T[b][c]
@@ -337,8 +348,8 @@ void FastGraph::primal_pass(std::span<const FrameGeometry* const> frames,
       }
     }
     slot.x_bar.resize(total);
-    nn::mlp_backward_batch(model.embedding_net(net), slot.x, total, slot.cache,
-                           slot.out_bar, slot.x_bar, {});
+    nn::mlp_backward_batch(model.embedding_net(net), total, slot.cache,
+                           slot.out_bar, slot.x_bar);
     row = 0;
     for (std::size_t f = 0; f < num_frames; ++f) {
       const FrameGeometry& geometry = *frames[f];

@@ -123,7 +123,8 @@ struct FrameGeometry {
 /// its neighbor list, reading each row's minimum-image displacement directly.  `list`
 /// must be the frame's list at the model's cutoff
 /// (DeepPotModel::build_topology); throws util::ValueError when its atom
-/// count or cutoff does not match the model.
+/// count or cutoff does not match the model, or naming the first atom with
+/// a NaN or infinite coordinate.
 void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
                           const md::NeighborList& list, FrameGeometry& out);
 

@@ -63,10 +63,8 @@ void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
   }
 }
 
-void mlp_backward_batch(const Mlp& mlp, std::span<const double> x,
-                        std::size_t batch, MlpBatchCache& cache,
-                        std::span<const double> out_bar, std::span<double> x_bar,
-                        std::span<double> param_grad) {
+void mlp_backward_batch(const Mlp& mlp, std::size_t batch, MlpBatchCache& cache,
+                        std::span<const double> out_bar, std::span<double> x_bar) {
   const auto& layers = mlp.layers();
   if (cache.batch != batch || cache.y.size() != layers.size()) {
     throw util::ValueError("mlp_backward_batch: stale cache, run forward first");
@@ -74,8 +72,8 @@ void mlp_backward_batch(const Mlp& mlp, std::span<const double> x,
   if (out_bar.size() != batch * mlp.output_width()) {
     throw util::ValueError("mlp_backward_batch: out_bar size mismatch");
   }
-  if (!param_grad.empty() && param_grad.size() != mlp.num_params()) {
-    throw util::ValueError("mlp_backward_batch: param_grad size mismatch");
+  if (!x_bar.empty() && x_bar.size() != batch * mlp.input_width()) {
+    throw util::ValueError("mlp_backward_batch: x_bar size mismatch");
   }
   size_layer_buffers(cache.zbar, layers, batch);
   const bool fold_curvature = cache.has_curvature;
@@ -98,12 +96,6 @@ void mlp_backward_batch(const Mlp& mlp, std::span<const double> x,
       // s''(z) . ybar, the curvature factor the tangent pass multiplies by
       // zdot; folding it here keeps that pass free of ybar storage.
       if (spp != nullptr) spp[k] *= ybar[k];
-    }
-    const double* xin = l == 0 ? x.data() : cache.y[l - 1].data();
-    if (!param_grad.empty()) {
-      double* wgrad = param_grad.data() + offset;
-      double* bgrad = wgrad + layer.in * layer.out;
-      ops.dense_param_grad(xin, zbar, batch, layer.in, layer.out, wgrad, bgrad);
     }
     if (l > 0 || !x_bar.empty()) {
       double* dest = l == 0 ? x_bar.data() : cache.bar_a.data();

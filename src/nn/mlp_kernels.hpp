@@ -7,7 +7,7 @@
 // kernels are that path, four analytic passes over contiguous batches:
 //
 //   forward   y_l = sigma(W_l y_{l-1} + b_l)            caches y, s', (s'')
-//   vjp       zbar_l = s'(z_l) . ybar_l                 param grads W,b
+//   vjp       zbar_l = s'(z_l) . ybar_l                 caches zbar
 //             ybar_{l-1} = W_l^T zbar_l                 input grads
 //   jvp       zdot_l = W_l ydot_{l-1}                   directional derivative
 //             ydot_l = s'(z_l) . zdot_l                 (parameter tangent 0)
@@ -19,7 +19,9 @@
 // force-loss second-order term: with the input tangent xdot set from a
 // coordinate direction v, the accumulated parameter tangent-adjoints equal
 // grad_theta(v . grad_x E) -- a mixed Hessian-vector product -- without ever
-// materializing a Hessian (see DESIGN.md section 10).
+// materializing a Hessian (see DESIGN.md section 10).  The vjp accumulates
+// no parameter gradient: the one caller that trains (dp::FastGraph) seeds
+// out_bar_dot so the tangent pass carries the first-order term as well.
 //
 // All buffers live in a caller-owned MlpBatchCache that only ever grows, so
 // steady-state training performs zero allocations in these kernels.
@@ -68,17 +70,15 @@ void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
                        std::size_t batch, MlpBatchCache& cache,
                        Curvature curvature);
 
-/// Batched reverse pass (vector-Jacobian product).  `out_bar` holds the
-/// adjoint of each output row.  Accumulates (+=) flat parameter gradients
-/// into `param_grad` when non-empty (mlp.num_params() entries) and writes
-/// input adjoints into `x_bar` when non-empty (batch * input_width).
-/// Caches zbar, and folds ybar into cache.spp (required by the tangent pass,
-/// so run the vjp before mlp_vjp_tangent_batch even when only tangents are
-/// wanted).  Requires a prior mlp_forward_batch on this cache.
-void mlp_backward_batch(const Mlp& mlp, std::span<const double> x,
-                        std::size_t batch, MlpBatchCache& cache,
-                        std::span<const double> out_bar, std::span<double> x_bar,
-                        std::span<double> param_grad);
+/// Batched reverse pass (vector-Jacobian product) over the batch of the
+/// prior mlp_forward_batch on this cache.  `out_bar` holds the adjoint of
+/// each output row; input adjoints are written into `x_bar` when non-empty
+/// (batch * input_width).  Caches zbar, and folds ybar into cache.spp
+/// (required by the tangent pass, so run the vjp before
+/// mlp_vjp_tangent_batch even when only tangents are wanted).  Parameter
+/// gradients come from mlp_vjp_tangent_batch's out_bar_dot seed.
+void mlp_backward_batch(const Mlp& mlp, std::size_t batch, MlpBatchCache& cache,
+                        std::span<const double> out_bar, std::span<double> x_bar);
 
 /// Batched forward tangent (Jacobian-vector product) with zero parameter
 /// tangent: xdot is the directional derivative of x.  Fills cache.zdot and

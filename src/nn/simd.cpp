@@ -72,22 +72,6 @@ void scalar_dense_backward_input(const double* w, const double* zbar,
   }
 }
 
-void scalar_dense_param_grad(const double* x, const double* zbar,
-                             std::size_t batch, std::size_t in, std::size_t out,
-                             double* wgrad, double* bgrad) {
-  for (std::size_t s = 0; s < batch; ++s) {
-    const double* xs = x + s * in;
-    const double* zrow = zbar + s * out;
-    for (std::size_t o = 0; o < out; ++o) {
-      const double z = zrow[o];
-      bgrad[o] += z;
-      if (z == 0.0) continue;
-      double* wrow = wgrad + o * in;
-      for (std::size_t i = 0; i < in; ++i) wrow[i] += z * xs[i];
-    }
-  }
-}
-
 void scalar_dense_param_grad_tangent(const double* x, const double* xdot,
                                      const double* zbar, const double* zbardot,
                                      std::size_t batch, std::size_t in,
@@ -120,7 +104,6 @@ void scalar_tanh(const double* z, double* y, double* sp, double* spp,
 }
 
 constexpr Ops kScalarOps = {scalar_dense_forward, scalar_dense_backward_input,
-                            scalar_dense_param_grad,
                             scalar_dense_param_grad_tangent, scalar_tanh,
                             "scalar"};
 

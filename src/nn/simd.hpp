@@ -1,13 +1,13 @@
 // Runtime-dispatched primitives for the batched MLP kernels.
 //
-// Every hot loop in nn/mlp_kernels.cpp is one of four dense row operations
+// Every hot loop in nn/mlp_kernels.cpp is one of three dense operations
 // over sample-major SoA batches, or the tanh activation pass.  This header
 // exposes them behind a function table that is resolved once at first use:
 //
 //   * an AVX2 implementation selected when the running CPU reports AVX2 and
-//     FMA: the dense rows in src/nn/simd_avx2.cpp (-mavx2 -mfma) and the
-//     tanh pass in src/nn/simd_avx2_tanh.cpp (-mavx2 only), both compiled
-//     when DPHO_ENABLE_SIMD is ON, and
+//     FMA: the dense operations in src/nn/simd_avx2.cpp (-mavx2 -mfma) and
+//     the tanh pass in src/nn/simd_avx2_tanh.cpp (-mavx2 only), both
+//     compiled when DPHO_ENABLE_SIMD is ON, and
 //   * a portable scalar table of plain loops.
 //
 // Dispatch can be forced to scalar with the environment variable
@@ -15,14 +15,18 @@
 // set_enabled() -- which is how the SIMD parity tests and the
 // bench_model_kernels SIMD-on/off matrix drive both paths in one process.
 //
-// Determinism: the AVX2 forward kernels split dot products across vector
-// lanes, so their reduction order differs from scalar and results can differ
+// Determinism: the AVX2 forward kernel splits dot products across vector
+// lanes, so its reduction order differs from scalar and results can differ
 // from the scalar path by FMA-contraction-sized rounding (the parity tests
-// pin the tolerance).  The tanh pass is the exception: both tables run one
-// core with the same operations in the same order and no FMA, so they agree
-// bit for bit at every length and offset.  Within either table,
-// results are bit-reproducible and independent of thread count: dispatch
-// state is process-global and the kernels carry no per-thread state.
+// pin the tolerance).  The AVX2 backward-input and param-grad-tangent
+// kernels are register tiles over several samples, but each output element
+// keeps the scalar loops' order of terms, so they differ from scalar by FMA
+// contraction only and a row's bits never depend on the rows tiled with it.
+// The tanh pass runs one core in both tables with the same operations in
+// the same order and no FMA, so they agree bit for bit at every length and
+// offset.  Within either table, results are bit-reproducible and
+// independent of thread count: dispatch state is process-global and the
+// kernels carry no per-thread state.
 #pragma once
 
 #include <cstddef>
@@ -37,16 +41,14 @@ struct Ops {
   void (*dense_forward)(const double* w, const double* bias, const double* x,
                         std::size_t batch, std::size_t in, std::size_t out,
                         double* z);
-  /// ybar[s,i] = sum_o w[o,i] zbar[s,o]   (overwrites ybar)
+  /// ybar[s,i] = sum_o w[o,i] zbar[s,o]   (overwrites ybar), each element
+  /// summed over ascending o from +0
   void (*dense_backward_input)(const double* w, const double* zbar,
                                std::size_t batch, std::size_t in,
                                std::size_t out, double* ybar);
-  /// wgrad[o,i] += sum_s zbar[s,o] x[s,i];  bgrad[o] += sum_s zbar[s,o]
-  void (*dense_param_grad)(const double* x, const double* zbar,
-                           std::size_t batch, std::size_t in, std::size_t out,
-                           double* wgrad, double* bgrad);
   /// whvp[o,i] += sum_s (zbardot[s,o] x[s,i] + zbar[s,o] xdot[s,i]);
-  /// bhvp[o] += sum_s zbardot[s,o]   (the d/de of dense_param_grad)
+  /// bhvp[o] += sum_s zbardot[s,o], each element over ascending s (the d/de
+  /// of the parameter gradient sum_s zbar[s,o] x[s,i])
   void (*dense_param_grad_tangent)(const double* x, const double* xdot,
                                    const double* zbar, const double* zbardot,
                                    std::size_t batch, std::size_t in,

@@ -1,10 +1,13 @@
 // FrameGeometry, the kernels' one pair layout: build_topology hands out the
 // plain CSR neighbor list at the model's cutoff, build_frame_geometry derives
 // every pair from that list's displacements and refuses a list built for
-// another model, and geometries built concurrently (as the trainer builds its
-// per-dataset cache) equal serial builds.
+// another model or a frame with a non-finite coordinate, and geometries
+// built concurrently (as the trainer builds its per-dataset cache) equal
+// serial builds.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "dp/fast_graph.hpp"
@@ -89,6 +92,28 @@ TEST(FrameGeometry, RejectsAListBuiltForAnotherModel) {
   fewer.pop_back();
   const md::NeighborList short_list(box, fewer, rcut);
   EXPECT_THROW(build_frame_geometry(model, frame, short_list, geometry), util::ValueError);
+}
+
+TEST(FrameGeometry, RejectsNonFiniteCoordinate) {
+  util::Rng rng(45);
+  const md::Frame frame = random_frame(rng);
+  const DeepPotModel model = tiny_model(rng);
+  // The list comes from the finite frame: the neighbor build itself casts a
+  // non-finite cell coordinate to an integer, which is undefined behaviour.
+  const md::NeighborList list = model.build_topology(frame);
+  FrameGeometry geometry;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    md::Frame broken = frame;
+    broken.positions[5][1] = bad;
+    try {
+      build_frame_geometry(model, broken, list, geometry);
+      ADD_FAILURE() << "no error for coordinate " << bad;
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 5 "), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(FrameGeometry, ParallelBuildMatchesSerialBuild) {

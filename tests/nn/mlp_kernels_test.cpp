@@ -141,28 +141,23 @@ TEST_P(KernelActivations, BackwardMatchesTapeGradients) {
 
   MlpBatchCache cache;
   mlp_forward_batch(mlp, x, kBatch, cache, Curvature::kNone);
+  std::vector<double> short_x_bar(kBatch * kIn - 1);
+  EXPECT_THROW(mlp_backward_batch(mlp, kBatch, cache, out_bar, short_x_bar),
+               util::ValueError);
   std::vector<double> x_bar(kBatch * kIn);
-  std::vector<double> param_grad(mlp.num_params(), 0.0);
-  mlp_backward_batch(mlp, x, kBatch, cache, out_bar, x_bar, param_grad);
+  mlp_backward_batch(mlp, kBatch, cache, out_bar, x_bar);
 
-  // The batched kernel accumulates over samples; the tape oracle runs one
-  // sample at a time, so sum its parameter gradients.
-  std::vector<double> expected_params(mlp.num_params(), 0.0);
+  // The first-order parameter gradient is the tangent pass's out_bar_dot
+  // term (TangentVjpMatchesTapeSecondOrder); this pass owns x_bar.
   for (std::size_t s = 0; s < kBatch; ++s) {
     const TapeOracle oracle = tape_reference(
         mlp, std::span(x).subspan(s * kIn, kIn),
         std::span(out_bar).subspan(s * mlp.output_width(), mlp.output_width()),
         {}, {});
-    for (std::size_t p = 0; p < expected_params.size(); ++p) {
-      expected_params[p] += oracle.param_grad[p];
-    }
     for (std::size_t i = 0; i < kIn; ++i) {
       EXPECT_NEAR(x_bar[s * kIn + i], oracle.x_grad[i], 1e-12)
           << "sample " << s << " input " << i;
     }
-  }
-  for (std::size_t p = 0; p < expected_params.size(); ++p) {
-    EXPECT_NEAR(param_grad[p], expected_params[p], 1e-11) << "param " << p;
   }
 }
 
@@ -223,7 +218,7 @@ TEST_P(SmoothKernelActivations, TangentVjpMatchesTapeSecondOrder) {
     MlpBatchCache cache;
     mlp_forward_batch(mlp, x, kBatch, cache, Curvature::kCache);
     std::vector<double> x_bar(kBatch * kIn);
-    mlp_backward_batch(mlp, x, kBatch, cache, out_bar, x_bar, {});
+    mlp_backward_batch(mlp, kBatch, cache, out_bar, x_bar);
     mlp_jvp_batch(mlp, xdot, kBatch, cache);
     std::vector<double> x_bar_dot(kBatch * kIn);
     std::vector<double> param_hvp(mlp.num_params(), 0.0);
@@ -264,7 +259,7 @@ TEST(MlpKernels, TangentVjpRequiresCurvatureCache) {
   MlpBatchCache cache;
   mlp_forward_batch(mlp, x, kBatch, cache, Curvature::kNone);
   std::vector<double> x_bar(kBatch * kIn);
-  mlp_backward_batch(mlp, x, kBatch, cache, out_bar, x_bar, {});
+  mlp_backward_batch(mlp, kBatch, cache, out_bar, x_bar);
   mlp_jvp_batch(mlp, x, kBatch, cache);
   std::vector<double> hvp(mlp.num_params());
   EXPECT_THROW(mlp_vjp_tangent_batch(mlp, x, x, kBatch, cache, {}, {}, hvp),
@@ -284,18 +279,18 @@ TEST(MlpKernels, CacheSurvivesAlternatingCurvatureAndBatchSizes) {
   const std::vector<double> small_bar = random_values(rng, 2 * mlp.output_width());
 
   MlpBatchCache shared;
-  std::vector<double> grad_shared(mlp.num_params(), 0.0);
+  std::vector<double> x_bar_big(kBatch * kIn);
   mlp_forward_batch(mlp, big, kBatch, shared, Curvature::kCache);
-  mlp_backward_batch(mlp, big, kBatch, shared, big_bar, {}, grad_shared);
+  mlp_backward_batch(mlp, kBatch, shared, big_bar, x_bar_big);
 
   mlp_forward_batch(mlp, small, 2, shared, Curvature::kNone);
   std::vector<double> x_bar_shared(2 * kIn);
-  mlp_backward_batch(mlp, small, 2, shared, small_bar, x_bar_shared, {});
+  mlp_backward_batch(mlp, 2, shared, small_bar, x_bar_shared);
 
   MlpBatchCache fresh;
   mlp_forward_batch(mlp, small, 2, fresh, Curvature::kNone);
   std::vector<double> x_bar_fresh(2 * kIn);
-  mlp_backward_batch(mlp, small, 2, fresh, small_bar, x_bar_fresh, {});
+  mlp_backward_batch(mlp, 2, fresh, small_bar, x_bar_fresh);
 
   EXPECT_EQ(x_bar_shared, x_bar_fresh);
   for (std::size_t s = 0; s < 2; ++s) {
