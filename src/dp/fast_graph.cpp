@@ -69,13 +69,25 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
   out.first_center = 0;
   out.num_centers = n;
 
-  // Count pairs per embedding net, prefix-sum into offsets, then fill.  The
-  // count must apply store_pair's exact filter (r < switching.rcut()).
+  // Each pair's displacement is taken once, from its lower id, and negated
+  // in the higher id's row: the bytes both rows carried when the list stored
+  // them (signed zeros included).  Count pairs per embedding net from the
+  // j > i entries, prefix-sum into offsets, then fill row by row.  The count
+  // must apply store_pair's exact filter (r < switching.rcut()), and the norm
+  // is the same from both ends.
+  const md::Box box(frame.box_length);
+  const std::span<const std::uint32_t> ids = list.flat();
+  const std::span<const std::uint32_t> pair_ids = list.pair_ids();
+  std::vector<md::Vec3> pair_displacement(list.num_pairs());
   out.net_offsets.assign(kNets + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
-      if (md::norm(nb.displacement) >= rcut) continue;
-      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[nb.index]) + 1];
+    for (std::size_t k = list.upper_begin(i); k < list.row_end(i); ++k) {
+      const std::uint32_t j = ids[k];
+      const md::Vec3 d = box.displacement(frame.positions[i], frame.positions[j]);
+      pair_displacement[pair_ids[k]] = d;
+      if (md::norm(d) >= rcut) continue;
+      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[j]) + 1];
+      ++out.net_offsets[DeepPotModel::pair_index(types[j], types[i]) + 1];
     }
   }
   for (std::size_t net = 0; net < kNets; ++net) {
@@ -86,11 +98,12 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
   std::array<std::uint32_t, kNets> cursor;
   std::copy_n(out.net_offsets.begin(), kNets, cursor.begin());
   for (std::size_t i = 0; i < n; ++i) {
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
-      const std::size_t net = DeepPotModel::pair_index(types[i], types[nb.index]);
-      if (out.store_pair(cursor[net], static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(nb.index), nb.displacement,
-                         switching)) {
+    for (std::size_t k = list.row_begin(i); k < list.row_end(i); ++k) {
+      const std::uint32_t j = ids[k];
+      const md::Vec3& d = pair_displacement[pair_ids[k]];
+      const std::size_t net = DeepPotModel::pair_index(types[i], types[j]);
+      if (out.store_pair(cursor[net], static_cast<std::uint32_t>(i), j,
+                         j > i ? d : md::Vec3{-d[0], -d[1], -d[2]}, switching)) {
         ++cursor[net];
       }
     }

@@ -120,8 +120,9 @@ struct FrameGeometry {
 };
 
 /// Builds (into a reusable buffer) the whole-frame geometry of `frame` from
-/// its neighbor list, reading each row's minimum-image displacement directly.  `list`
-/// must be the frame's list at the model's cutoff
+/// its neighbor list, computing each pair's minimum-image displacement from
+/// the positions once (from the pair's lower id, negated in the higher id's
+/// row).  `list` must be the frame's list at the model's cutoff
 /// (DeepPotModel::build_topology); throws util::ValueError when its atom
 /// count or cutoff does not match the model, or naming the first atom with
 /// a NaN or infinite coordinate.

@@ -113,10 +113,8 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
   for (std::size_t t = 0; t < num_tiles; ++t) {
     const FrameGeometry& tile = tiles_[t];
     for (std::size_t i = tile.first_center; i < tile.end_center(); ++i) {
-      for (const md::Neighbor& nb : list.neighbors_of(i)) {
-        const std::size_t e =
-            DeepPotModel::pair_index(types[i], types[nb.index]);
-        ++cand_off_[t * kNets + e + 1];
+      for (const std::uint32_t j : list.neighbors_of(i)) {
+        ++cand_off_[t * kNets + DeepPotModel::pair_index(types[i], types[j]) + 1];
       }
     }
   }
@@ -135,11 +133,9 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
   for (std::size_t t = 0; t < num_tiles; ++t) {
     const FrameGeometry& tile = tiles_[t];
     for (std::size_t i = tile.first_center; i < tile.end_center(); ++i) {
-      for (const md::Neighbor& nb : list.neighbors_of(i)) {
-        const std::size_t e =
-            DeepPotModel::pair_index(types[i], types[nb.index]);
-        cand_[cand_cursor_[t * kNets + e]++] =
-            (std::uint64_t{i} << 32) | static_cast<std::uint32_t>(nb.index);
+      for (const std::uint32_t j : list.neighbors_of(i)) {
+        const std::size_t e = DeepPotModel::pair_index(types[i], types[j]);
+        cand_[cand_cursor_[t * kNets + e]++] = (std::uint64_t{i} << 32) | j;
       }
     }
   }

@@ -113,20 +113,20 @@ void ReferencePotential::compute(const SystemState& state,
   out.forces.assign(state.size(), Vec3{0.0, 0.0, 0.0});
   double energy = 0.0;
   for (std::size_t i = 0; i < state.size(); ++i) {
-    for (const Neighbor& nb : neighbors.neighbors_of(i)) {
-      if (nb.index < i) continue;  // each pair once
-      const Vec3 d = box.displacement(state.positions[i], state.positions[nb.index]);
+    for (const std::uint32_t j : neighbors.neighbors_of(i)) {
+      if (j < i) continue;  // each pair once
+      const Vec3 d = box.displacement(state.positions[i], state.positions[j]);
       const double r = norm(d);
       if (r >= cutoff_) continue;
       const Species si = state.types[i];
-      const Species sj = state.types[nb.index];
+      const Species sj = state.types[j];
       const PairEnergyForce pair = pair_energy_force(si, sj, r);
       energy += pair.energy;
       // F_i = U'(r) * d / r with d = r_j - r_i (see derivation in tests).
       const double magnitude = -pair.force / r;
       const Vec3 fi = d * magnitude;
       out.forces[i] = out.forces[i] + fi;
-      out.forces[nb.index] = out.forces[nb.index] - fi;
+      out.forces[j] = out.forces[j] - fi;
     }
   }
   out.energy = energy;

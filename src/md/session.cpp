@@ -18,12 +18,6 @@ obs::Histogram& step_seconds() {
   return h;
 }
 
-obs::Histogram& rebuild_seconds() {
-  static obs::Histogram& h = obs::metrics().histogram(
-      "md.session.rebuild_seconds", obs::BucketLayout::timing_seconds());
-  return h;
-}
-
 obs::Counter& steps_counter() {
   static obs::Counter& c = obs::metrics().counter("md.session.steps_total");
   return c;
@@ -76,61 +70,70 @@ void ReferenceSession::initialize(const SystemState& state) {
   chunk_begin_ = make_chunk_partition(num_atoms_, options_);
   num_chunks_ = chunk_begin_.size() - 1;
   chunk_energy_.assign(num_chunks_, 0.0);
-  skel_offsets_.assign(num_atoms_ + 1, 0);
   initialized_ = true;
 }
 
-void ReferenceSession::rebuild_skeleton(const NeighborList& list) {
-  const obs::ScopedTimer timer(rebuild_seconds());
-  rebuilds_counter().add(1);
-  std::size_t total = 0;
-  skel_offsets_[0] = 0;
-  for (std::size_t i = 0; i < num_atoms_; ++i) {
-    total += list.neighbors_of(i).size();
-    skel_offsets_[i + 1] = total;
-  }
-  if (skel_index_.capacity() < total) {
-    // Headroom so later rebuilds (density fluctuations) stay allocation-free.
-    skel_index_.reserve(total + total / 8 + 64);
-  }
-  skel_index_.resize(total);
-  // NeighborList rows are already in ascending neighbor id, the canonical
-  // order that makes a stale-skin walk bitwise-match a fresh rebuild.
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < num_atoms_; ++i) {
-    for (const Neighbor& nb : list.neighbors_of(i)) {
-      skel_index_[cursor++] = static_cast<std::uint32_t>(nb.index);
+void ReferenceSession::pair_chunk(std::size_t c, const SystemState& state) {
+  const double rc = potential_.cutoff();
+  const double rc_sq = rc * rc;
+  const std::span<const std::uint32_t> ids = list_->flat();
+  const std::span<const std::uint32_t> pair_ids = list_->pair_ids();
+  for (std::size_t i = chunk_begin_[c]; i < chunk_begin_[c + 1]; ++i) {
+    const Vec3 ri = state.positions[i];
+    const Species si = state.types[i];
+    const std::size_t row_end = list_->row_end(i);
+    for (std::size_t k = list_->upper_begin(i); k < row_end; ++k) {
+      const std::size_t j = ids[k];
+      PairTerm& term = terms_[pair_ids[k]];
+      const Vec3 d = box_.displacement(ri, state.positions[j]);
+      const double dist_sq = dot(d, d);
+      if (dist_sq >= rc_sq || dist_sq == 0.0) {
+        term = PairTerm{};  // adds exact zeros, which change no sum
+        continue;
+      }
+      const double r = std::sqrt(dist_sq);
+      const PairEnergyForce pair =
+          potential_.pair_energy_force(si, state.types[j], r);
+      // Each center adds half the pair energy (exact: *0.5 is a power of
+      // two) and the full force on itself.
+      term = PairTerm{d * (-pair.force / r), 0.5 * pair.energy};
     }
   }
 }
 
-void ReferenceSession::eval_chunk(std::size_t c, const SystemState& state,
-                                  std::span<Vec3> forces) {
-  const double rc = potential_.cutoff();
-  const double rc_sq = rc * rc;
+void ReferenceSession::force_chunk(std::size_t c, std::span<Vec3> forces) {
+  const std::span<const std::uint32_t> pair_ids = list_->pair_ids();
   double energy = 0.0;
   for (std::size_t i = chunk_begin_[c]; i < chunk_begin_[c + 1]; ++i) {
-    const Vec3 ri = state.positions[i];
-    const Species si = state.types[i];
     Vec3 f{0.0, 0.0, 0.0};
-    const std::size_t row_end = skel_offsets_[i + 1];
-    for (std::size_t k = skel_offsets_[i]; k < row_end; ++k) {
-      const std::size_t j = skel_index_[k];
-      const Vec3 d = box_.displacement(ri, state.positions[j]);
-      const double dist_sq = dot(d, d);
-      if (dist_sq >= rc_sq || dist_sq == 0.0) continue;
-      const double r = std::sqrt(dist_sq);
-      const Species sj = state.types[j];
-      // Full-neighbor form: each pair is seen from both centers, so each
-      // occurrence carries half the pair energy (exact: *0.5 is a power of
-      // two) and the full force on this center.
-      const PairEnergyForce pair = potential_.pair_energy_force(si, sj, r);
-      energy += 0.5 * pair.energy;
-      f = f + d * (-pair.force / r);
+    const std::size_t upper = list_->upper_begin(i);
+    const std::size_t row_end = list_->row_end(i);
+    // A j < i entry's force is the negated force on j: bit for bit the
+    // force from this center, up to the sign of a zero term.
+    for (std::size_t k = list_->row_begin(i); k < upper; ++k) {
+      const PairTerm& term = terms_[pair_ids[k]];
+      energy += term.half_energy;
+      f = f - term.force;
+    }
+    for (std::size_t k = upper; k < row_end; ++k) {
+      const PairTerm& term = terms_[pair_ids[k]];
+      energy += term.half_energy;
+      f = f + term.force;
     }
     forces[i] = f;
   }
   chunk_energy_[c] = energy;
+}
+
+template <typename Pass>
+void ReferenceSession::for_each_chunk(Pass& pass) {
+  if (options_.pool == nullptr || num_chunks_ == 1) {
+    for (std::size_t c = 0; c < num_chunks_; ++c) pass(c);
+    return;
+  }
+  options_.pool->parallel_for_static(
+      num_chunks_, [](void* raw, std::size_t c) { (*static_cast<Pass*>(raw))(c); },
+      &pass);
 }
 
 double ReferenceSession::compute(const SystemState& state,
@@ -143,29 +146,24 @@ double ReferenceSession::compute(const SystemState& state,
   if (forces.size() != num_atoms_) {
     throw util::ValueError("forces span size does not match atom count");
   }
-  const NeighborList& list = verlet_->update(state.positions);
+  list_ = &verlet_->update(state.positions);
   if (verlet_->rebuild_count() != seen_rebuilds_) {
-    rebuild_skeleton(list);
+    rebuilds_counter().add(1);
+    const std::size_t pairs = list_->num_pairs();
+    if (terms_.capacity() < pairs) {
+      // Headroom so later rebuilds (density fluctuations) stay allocation-free.
+      terms_.reserve(pairs + pairs / 8 + 64);
+    }
+    terms_.resize(pairs);
     seen_rebuilds_ = verlet_->rebuild_count();
   }
 
-  struct DispatchCtx {
-    ReferenceSession* self;
-    const SystemState* state;
-    Vec3* forces;
-  } ctx{this, &state, forces.data()};
-  if (options_.pool != nullptr && num_chunks_ > 1) {
-    options_.pool->parallel_for_static(
-        num_chunks_,
-        [](void* raw, std::size_t c) {
-          auto* d = static_cast<DispatchCtx*>(raw);
-          d->self->eval_chunk(c, *d->state,
-                              std::span<Vec3>(d->forces, d->state->size()));
-        },
-        &ctx);
-  } else {
-    for (std::size_t c = 0; c < num_chunks_; ++c) eval_chunk(c, state, forces);
-  }
+  // The pair pass writes every term the force pass reads; parallel_for_static
+  // returns only when all chunks are done, which is the barrier between them.
+  auto pairs = [&](std::size_t c) { pair_chunk(c, state); };
+  for_each_chunk(pairs);
+  auto force = [&](std::size_t c) { force_chunk(c, forces); };
+  for_each_chunk(force);
 
   // Fixed-order reduction: chunk partials combine serially in chunk order,
   // independent of which thread ran which chunk.

@@ -1,29 +1,28 @@
 // Persistent MD evaluation sessions: the zero-allocation force hot path.
 //
 // A PotentialSession owns everything an MD run reuses across steps -- the
-// Verlet-skin neighbor list, a candidate-pair skeleton, and all force
+// Verlet-skin neighbor list, its per-pair workspace, and all force
 // workspace -- so a steady-state step, and a rebuild step once warmed,
 // performs zero heap allocations (the same contract dp's training kernels
 // set in DESIGN.md section 8).  Topology is rebuilt only on skin triggers,
-// on the session's pool; between rebuilds each step refreshes distances in
-// place from the *stale pair identities* (the Verlet guarantee: identities
-// complete, distances outdated).
+// on the session's pool; between rebuilds each step recomputes every
+// displacement in place from the *stale pair identities* (the Verlet
+// guarantee: identities complete, distances outdated).
 //
 // Determinism contract: results are a pure function of (potential, options,
 // state) -- never of the thread count.  The atom range is split into a fixed
 // chunk partition (derived from N alone); chunks may run on any pool thread,
-// but each chunk writes only its own outputs -- the forces of its own
-// contiguous atom range (reference backend) or its own full-3N adjoint
-// buffer, filled tile by tile by dp::FastGraph (NNP backend) -- and its own
-// energy partial, and partials are combined serially in chunk order.
-// NeighborList rows come in ascending neighbor id and the skeleton copies
-// them without sorting, so a session with a stale skin list walks pairs in
+// but each chunk writes only its own outputs -- its own atoms' pair terms
+// and forces (reference backend) or its own full-3N adjoint buffer, filled
+// tile by tile by dp::FastGraph (NNP backend) -- and its own energy
+// partial, and partials are combined serially in chunk order.
+// NeighborList rows come in ascending neighbor id and the sessions walk
+// them in that order, so a session with a stale skin list walks pairs in
 // exactly the order a fresh rebuild would -- trajectories are bit-identical
 // across thread counts AND across skin settings.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -76,9 +75,18 @@ class PotentialSession {
 
 /// PotentialSession over the classical ReferencePotential.
 ///
-/// Forces use the full-neighbor form: every pair is evaluated at both
-/// centers (half energy weight each), so a chunk owns all writes to its own
-/// atoms' forces and needs no cross-chunk reduction buffers.
+/// Forces use the full-neighbor form with each pair's work done once.  A
+/// first chunk-parallel pass walks the j > i tail of each row, evaluates
+/// every in-cutoff pair from its lower id and stores, under the pair's
+/// number, the force on the lower id and half the pair energy (exact zeros
+/// for a pair beyond rc or at r = 0).  After the pool's barrier a second
+/// pass walks every row in full and adds the stored terms, negating the
+/// force for a j < i entry, so a chunk owns all writes to its own atoms'
+/// forces and needs no cross-chunk reduction buffers.  The sums are bit for
+/// bit those of evaluating every pair at both centers, in row order:
+/// Box::displacement(a, b) is exactly -displacement(b, a) up to the sign of
+/// a zero component, pair_energy_force is symmetric in its species, and
+/// adding an exact zero changes no sum that starts from +0.
 class ReferenceSession final : public PotentialSession {
  public:
   explicit ReferenceSession(const ReferencePotential& potential,
@@ -93,10 +101,18 @@ class ReferenceSession final : public PotentialSession {
   std::size_t num_chunks() const { return num_chunks_; }
 
  private:
+  /// One pair's share of a step, evaluated from its lower id i.
+  struct PairTerm {
+    Vec3 force;          // on i: d * (-F(r) / r), d = r_j - r_i
+    double half_energy;  // 0.5 * E(r): each center adds half
+  };
+
   void initialize(const SystemState& state);
-  void rebuild_skeleton(const NeighborList& list);
-  void eval_chunk(std::size_t c, const SystemState& state,
-                  std::span<Vec3> forces);
+  void pair_chunk(std::size_t c, const SystemState& state);
+  void force_chunk(std::size_t c, std::span<Vec3> forces);
+  /// Runs pass(c) for every chunk, on the pool when there is one.
+  template <typename Pass>
+  void for_each_chunk(Pass& pass);
 
   ReferencePotential potential_;
   SessionOptions options_;
@@ -113,10 +129,10 @@ class ReferenceSession final : public PotentialSession {
   std::vector<std::size_t> chunk_begin_;  // num_chunks_ + 1
   std::vector<double> chunk_energy_;
 
-  // Candidate skeleton: per-atom neighbor ids copied from the Verlet list,
-  // ascending (canonical order; see file comment).  Rebuilt on skin triggers.
-  std::vector<std::size_t> skel_offsets_;  // num_atoms_ + 1
-  std::vector<std::uint32_t> skel_index_;
+  // The Verlet list's rows, walked in place, and one term per listed pair
+  // (sized on rebuilds, rewritten every step).
+  const NeighborList* list_ = nullptr;
+  std::vector<PairTerm> terms_;
 };
 
 /// Splits [0, num_atoms) into the session chunk partition; shared by the

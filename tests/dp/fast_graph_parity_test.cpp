@@ -286,10 +286,12 @@ TEST(FastGraphParityDetail, GeometryCountsMatchTopologyWithinCutoff) {
   FrameGeometry geometry;
   build_frame_geometry(model, frame, list, geometry);
 
+  const md::Box box(frame.box_length);
   std::size_t in_cutoff = 0;
   for (std::size_t i = 0; i < types.size(); ++i) {
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
-      if (md::norm(nb.displacement) < model.spec().descriptor.rcut) ++in_cutoff;
+    for (const std::uint32_t j : list.neighbors_of(i)) {
+      const double r = box.distance(frame.positions[i], frame.positions[j]);
+      if (r < model.spec().descriptor.rcut) ++in_cutoff;
     }
   }
   EXPECT_EQ(geometry.size(), in_cutoff);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "dp/fast_graph.hpp"
@@ -213,6 +215,29 @@ TEST_F(NnpSessionSuite, RebuildStepsAllocateNothing) {
     const std::size_t allocations = testsupport::alloc_count();
     EXPECT_EQ(allocations, 0u) << (maybe_pool ? "4-thread pool" : "no pool");
     EXPECT_EQ(session->neighbor_rebuilds() - rebuilds_before, 10u);
+  }
+}
+
+TEST_F(NnpSessionSuite, NonFinitePositionMidRunThrowsNamingTheAtom) {
+  // A steady step refreshes its tiles from the stale list without checking
+  // the coordinates; a non-finite one forces a rebuild instead, and the
+  // neighbor build rejects it by name.  The session stays usable.
+  const md::SystemState state = initial_state();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto session = potential_->make_md_session();
+    std::vector<md::Vec3> forces(state.size());
+    const double energy = session->compute(state, forces);
+    md::SystemState broken = state;
+    broken.positions[4][2] = bad;
+    try {
+      session->compute(broken, forces);
+      ADD_FAILURE() << "no error for coordinate " << bad;
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 4 "), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(session->compute(state, forces), energy);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "dp/md_interface.hpp"
 #include "hpc/thread_pool.hpp"
 #include "util/error.hpp"
@@ -111,6 +114,26 @@ TEST(Potential, RejectsMismatchedAtomCount) {
   util::Rng rng(62);
   const md::Frame frame = random_frame(rng, /*atoms=*/5);
   EXPECT_THROW(potential.evaluate(frame), util::ValueError);
+}
+
+TEST(Potential, RejectsNonFiniteCoordinateNamingTheAtom) {
+  // The neighbor build behind evaluate() checks the positions before it
+  // bins them, so the typed error comes before any coordinate is cast.
+  const Potential potential(tiny_model(13));
+  util::Rng rng(14);
+  const md::Frame frame = random_frame(rng);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    md::Frame broken = frame;
+    broken.positions[6][0] = bad;
+    try {
+      potential.evaluate(broken);
+      ADD_FAILURE() << "no error for coordinate " << bad;
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 6 "), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Potential, RejectsNullModel) {

@@ -111,6 +111,52 @@ TEST(Box, DisplacementMatchesNearbyintMinimumImageBitwise) {
   }
 }
 
+TEST(Box, DisplacementIsExactlyAntisymmetric) {
+  // Neighbor rows hold ids only, and the kernels rebuild a pair's
+  // displacement from either end: displacement(a, b) is bitwise
+  // -displacement(b, a), except that an exact-zero component is +0 from
+  // both ends (so a row that must match a negated displacement negates it
+  // rather than recomputing it from the other end).
+  const auto expect_antisymmetric = [](const Box& box, const Vec3& a, const Vec3& b) {
+    const Vec3 ab = box.displacement(a, b);
+    const Vec3 ba = box.displacement(b, a);
+    for (int k = 0; k < 3; ++k) {
+      if (ab[k] == 0.0) {
+        ASSERT_EQ(bits(ab[k]), bits(0.0)) << a[k] << " " << b[k];
+        ASSERT_EQ(bits(ba[k]), bits(0.0)) << a[k] << " " << b[k];
+      } else {
+        ASSERT_EQ(bits(ab[k]), bits(-ba[k])) << a[k] << " " << b[k];
+      }
+    }
+  };
+  util::Rng rng(37);
+  for (int i = 0; i < 200'000; ++i) {
+    const Box box(rng.uniform(5.0, 100.0));
+    const double span = 3.0 * box.length();
+    expect_antisymmetric(box,
+                         Vec3{rng.uniform(-span, span), rng.uniform(-span, span),
+                              rng.uniform(-span, span)},
+                         Vec3{rng.uniform(-span, span), rng.uniform(-span, span),
+                              rng.uniform(-span, span)});
+  }
+  // Image counts of 2^51 and beyond take std::nearbyint.
+  const Box unit(1.0);
+  for (const double t : {0x1p51, 0x1p51 + 0.5, 0x1p51 + 1.5, 0x1p52 + 1.0, 0x1p60, 3e17}) {
+    expect_antisymmetric(unit, Vec3{0.0, 0.25, -0.5}, Vec3{t, -t, t + 0.5});
+  }
+  // Half-integer image counts are ties, rounded to even from either end.
+  for (const double length : {1.0, 2.0, 10.0, 17.84}) {
+    const Box box(length);
+    for (int n = -6; n <= 6; ++n) {
+      const double tie = (static_cast<double>(n) + 0.5) * length;
+      expect_antisymmetric(box, Vec3{0.0, 1.0, -2.0}, Vec3{tie, 1.0 + tie, tie - 2.0});
+    }
+  }
+  // Shared coordinates and whole-box separations give exact zeros.
+  const Box box(12.0);
+  expect_antisymmetric(box, Vec3{1.0, 2.0, 3.0}, Vec3{1.0, 5.0, 15.0});
+}
+
 TEST(Box, DisplacementWithoutWrapping) {
   const Box box(10.0);
   const Vec3 d = box.displacement(Vec3{1.0, 1.0, 1.0}, Vec3{2.0, 3.0, 4.0});

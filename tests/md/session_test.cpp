@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "hpc/thread_pool.hpp"
@@ -56,6 +57,68 @@ Trajectory run_trajectory(const ReferencePotential& potential,
   out.rebuilds = session.neighbor_rebuilds();
   return out;
 }
+
+/// ReferenceSession's force pass from before each pair's work was done
+/// once, kept verbatim as the bitwise reference: the full-neighbor form,
+/// every pair evaluated at both centers, over a skeleton of the list's rows.
+class FullNeighborWalk {
+ public:
+  FullNeighborWalk(const ReferencePotential& potential, const SystemState& state,
+                   const NeighborList& list, const SessionOptions& options)
+      : potential_(potential), box_(state.box_length),
+        chunk_begin_(make_chunk_partition(state.size(), options)),
+        chunk_energy_(chunk_begin_.size() - 1, 0.0) {
+    skel_offsets_.push_back(0);
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      for (const std::uint32_t j : list.neighbors_of(i)) skel_index_.push_back(j);
+      skel_offsets_.push_back(skel_index_.size());
+    }
+  }
+
+  double compute(const SystemState& state, std::span<Vec3> forces) {
+    for (std::size_t c = 0; c + 1 < chunk_begin_.size(); ++c) eval_chunk(c, state, forces);
+    double energy = 0.0;
+    for (const double e : chunk_energy_) energy += e;
+    return energy;
+  }
+
+ private:
+  void eval_chunk(std::size_t c, const SystemState& state,
+                  std::span<Vec3> forces) {
+    const double rc = potential_.cutoff();
+    const double rc_sq = rc * rc;
+    double energy = 0.0;
+    for (std::size_t i = chunk_begin_[c]; i < chunk_begin_[c + 1]; ++i) {
+      const Vec3 ri = state.positions[i];
+      const Species si = state.types[i];
+      Vec3 f{0.0, 0.0, 0.0};
+      const std::size_t row_end = skel_offsets_[i + 1];
+      for (std::size_t k = skel_offsets_[i]; k < row_end; ++k) {
+        const std::size_t j = skel_index_[k];
+        const Vec3 d = box_.displacement(ri, state.positions[j]);
+        const double dist_sq = dot(d, d);
+        if (dist_sq >= rc_sq || dist_sq == 0.0) continue;
+        const double r = std::sqrt(dist_sq);
+        const Species sj = state.types[j];
+        // Full-neighbor form: each pair is seen from both centers, so each
+        // occurrence carries half the pair energy (exact: *0.5 is a power of
+        // two) and the full force on this center.
+        const PairEnergyForce pair = potential_.pair_energy_force(si, sj, r);
+        energy += 0.5 * pair.energy;
+        f = f + d * (-pair.force / r);
+      }
+      forces[i] = f;
+    }
+    chunk_energy_[c] = energy;
+  }
+
+  const ReferencePotential& potential_;
+  Box box_;
+  std::vector<std::size_t> chunk_begin_;
+  std::vector<double> chunk_energy_;
+  std::vector<std::size_t> skel_offsets_;
+  std::vector<std::uint32_t> skel_index_;
+};
 
 TEST(MakeChunkPartition, CoversRangeAndRespectsBounds) {
   SessionOptions options;
@@ -136,6 +199,97 @@ TEST(ReferenceSessionTest, ThreadCountParityBitwise) {
         << threads << " threads";
     EXPECT_TRUE(bitwise_equal(run.forces, baseline.forces))
         << threads << " threads";
+  }
+}
+
+TEST(ReferenceSessionTest, OneEvaluationPassMatchesFullNeighborWalkBitwise) {
+  // Random melts, a bare and a skinned list (the skinned rows carry pairs
+  // beyond rc, and stale ones between rebuilds), serial and on 2 and 4
+  // threads.  The walk reads a fresh list at rc + skin: it skips the same
+  // out-of-cutoff entries, so its bits do not depend on the list's staleness.
+  const ReferencePotential potential(6.5);
+  hpc::ThreadPool two(1), four(3);
+  util::Rng rng(61);
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::size_t units = 26 + static_cast<std::size_t>(rng.uniform_int(0, 40));
+    const SystemState start = make_state(units, 300.0 + 200.0 * trial, 71 + trial);
+    for (const double skin : {0.0, 0.8}) {
+      for (hpc::ThreadPool* pool : {static_cast<hpc::ThreadPool*>(nullptr), &two, &four}) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " skin " << skin
+                                          << " pool " << (pool ? pool->size() + 1 : 1));
+        SessionOptions options;
+        options.skin = skin;
+        options.chunk_atoms = 16;
+        options.pool = pool;
+        ReferenceSession session(potential, options);
+        SystemState state = start;
+        std::vector<Vec3> forces(state.size()), expected(state.size());
+        for (int step = 0; step < 4; ++step) {
+          const double energy = session.compute(state, forces);
+          const NeighborList list(Box(state.box_length), state.positions,
+                                  potential.cutoff() + session.skin());
+          FullNeighborWalk walk(potential, state, list, options);
+          EXPECT_EQ(energy, walk.compute(state, expected)) << "step " << step;
+          EXPECT_TRUE(bitwise_equal(forces, expected)) << "step " << step;
+          for (Vec3& r : state.positions) {
+            for (double& x : r) x += rng.uniform(-0.05, 0.05);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferenceSessionTest, OneEvaluationPassSkipsACoincidentPairLikeTheWalk) {
+  // Two atoms 0.5 A apart are in the skinned list; each moves 0.25 A (under
+  // skin/2) onto the other, so the next step walks a stale pair at r = 0.
+  const ReferencePotential potential(6.5);
+  SystemState state = make_state(26, 300.0, 43);
+  state.positions[1] = state.positions[0] + Vec3{0.5, 0.0, 0.0};
+  for (const double skin : {0.0, 0.8}) {
+    SessionOptions options;
+    options.skin = skin;
+    options.chunk_atoms = 16;
+    ReferenceSession session(potential, options);
+    std::vector<Vec3> forces(state.size()), expected(state.size());
+    session.compute(state, forces);
+    SystemState merged = state;
+    merged.positions[0] = state.positions[0] + Vec3{0.25, 0.0, 0.0};
+    merged.positions[1] = merged.positions[0];
+    const double energy = session.compute(merged, forces);
+    EXPECT_EQ(session.neighbor_rebuilds(), skin > 0.0 ? 1u : 2u) << "skin " << skin;
+    const NeighborList list(Box(merged.box_length), merged.positions,
+                            potential.cutoff() + session.skin());
+    FullNeighborWalk walk(potential, merged, list, options);
+    EXPECT_EQ(energy, walk.compute(merged, expected)) << "skin " << skin;
+    EXPECT_TRUE(bitwise_equal(forces, expected)) << "skin " << skin;
+    EXPECT_TRUE(std::isfinite(energy));
+  }
+}
+
+TEST(ReferenceSessionTest, NonFinitePositionMidRunThrowsNamingTheAtom) {
+  // Between rebuilds the session walks its stale list; a non-finite
+  // position forces a rebuild, and the build rejects it by name instead of
+  // the step returning NaN forces.  The session stays usable.
+  const ReferencePotential potential(6.5);
+  const SystemState state = make_state(26, 300.0, 47);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SessionOptions options;
+    options.skin = 0.8;
+    ReferenceSession session(potential, options);
+    std::vector<Vec3> forces(state.size());
+    const double energy = session.compute(state, forces);
+    SystemState broken = state;
+    broken.positions[9][0] = bad;
+    try {
+      session.compute(broken, forces);
+      ADD_FAILURE() << "no error for coordinate " << bad;
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 9 "), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(session.compute(state, forces), energy);
   }
 }
 

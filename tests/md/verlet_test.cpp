@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "md/potential.hpp"
 #include "util/error.hpp"
@@ -65,11 +66,11 @@ TEST(VerletList, PairCoverageNeverMissesTrueCutoffPairs) {
     // Exact reference at the true cutoff.
     const NeighborList exact(box, positions, cutoff);
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      std::set<std::size_t> stale;
-      for (const Neighbor& nb : list.neighbors_of(i)) stale.insert(nb.index);
-      for (const Neighbor& nb : exact.neighbors_of(i)) {
-        EXPECT_TRUE(stale.contains(nb.index))
-            << "step " << step << " missing pair " << i << "-" << nb.index;
+      const std::set<std::uint32_t> stale(list.neighbors_of(i).begin(),
+                                          list.neighbors_of(i).end());
+      for (const std::uint32_t j : exact.neighbors_of(i)) {
+        EXPECT_TRUE(stale.contains(j))
+            << "step " << step << " missing pair " << i << "-" << j;
       }
     }
   }
@@ -140,10 +141,7 @@ TEST(VerletList, RebuildTriggersExactlyWhenSkinHalfExceeded) {
         const auto row = list.neighbors_of(i);
         const auto expected_row = fresh.neighbors_of(i);
         ASSERT_EQ(row.size(), expected_row.size()) << "atom " << i;
-        for (std::size_t k = 0; k < row.size(); ++k) {
-          EXPECT_EQ(row[k].index, expected_row[k].index);
-          EXPECT_EQ(row[k].distance, expected_row[k].distance);
-        }
+        for (std::size_t k = 0; k < row.size(); ++k) EXPECT_EQ(row[k], expected_row[k]);
       }
     }
   }
@@ -159,6 +157,31 @@ TEST(VerletList, ZeroSkinRebuildsOnAnyMove) {
   positions[0][0] += 1e-6;
   verlet.update(positions);
   EXPECT_EQ(verlet.rebuild_count(), 2u);
+}
+
+TEST(VerletList, NonFinitePositionRebuildsAndThrows) {
+  // A NaN drift is not <= skin^2/4, so it rebuilds, and the build names the
+  // atom; before, NaN > skin^2/4 was false and the stale list came back.
+  util::Rng rng(8);
+  const Box box(20.0);
+  const std::vector<Vec3> positions = random_positions(60, 20.0, rng);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    VerletList verlet(box, 4.0, 1.0);
+    verlet.update(positions);
+    std::vector<Vec3> moved = positions;
+    moved[11][1] = bad;
+    try {
+      verlet.update(moved);
+      ADD_FAILURE() << "no error for coordinate " << bad;
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 11 "), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(verlet.rebuild_count(), 1u);
+    verlet.update(positions);  // the last good list is still in place
+    EXPECT_EQ(verlet.rebuild_count(), 1u);
+  }
 }
 
 TEST(VerletList, Validation) {

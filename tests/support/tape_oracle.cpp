@@ -7,6 +7,19 @@
 
 namespace dpho::oracle {
 
+namespace {
+
+/// Row i's displacement to neighbor j as the kernels take it: from the
+/// pair's lower id, negated in the higher id's row.
+md::Vec3 row_displacement(const md::Frame& frame, std::size_t i, std::size_t j) {
+  const md::Box box(frame.box_length);
+  if (j > i) return box.displacement(frame.positions[i], frame.positions[j]);
+  const md::Vec3 d = box.displacement(frame.positions[j], frame.positions[i]);
+  return md::Vec3{-d[0], -d[1], -d[2]};
+}
+
+}  // namespace
+
 ad::Var apply(nn::Activation activation, ad::Var x) {
   switch (activation) {
     case nn::Activation::kRelu: return relu(x);
@@ -130,12 +143,11 @@ TapeGraph build_graph(ad::Tape& tape, const dp::DeepPotModel& model,
   std::vector<ad::Var> descriptor(m1 * m2);
   for (std::size_t i = 0; i < n; ++i) {
     for (ad::Var& cell : t_matrix) cell = tape.constant(0.0);
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+    for (const std::size_t j : list.neighbors_of(i)) {
       // displacement = (x_j + shift) - x_i with a constant periodic shift,
       // so the graph differentiates through both coordinates.
-      const md::Vec3 shift =
-          nb.displacement - (frame.positions[nb.index] - frame.positions[i]);
-      const std::size_t j = nb.index;
+      const md::Vec3 shift = row_displacement(frame, i, j) -
+                             (frame.positions[j] - frame.positions[i]);
       const ad::Var dx = (coords[j * 3 + 0] + shift[0]) - coords[i * 3 + 0];
       const ad::Var dy = (coords[j * 3 + 1] + shift[1]) - coords[i * 3 + 1];
       const ad::Var dz = (coords[j * 3 + 2] + shift[2]) - coords[i * 3 + 2];
@@ -215,14 +227,14 @@ double energy(const dp::DeepPotModel& model, const md::Frame& frame) {
   std::vector<double> descriptor(m1 * m2);
   for (std::size_t i = 0; i < types.size(); ++i) {
     std::fill(t_matrix.begin(), t_matrix.end(), 0.0);
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
-      const md::Vec3& d = nb.displacement;
+    for (const std::size_t j : list.neighbors_of(i)) {
+      const md::Vec3 d = row_displacement(frame, i, j);
       const double r = md::norm(d);
       if (r >= rcut) continue;
       const double s = model.switching().value(r);
       const double row[4] = {s, s * d[0] / r, s * d[1] / r, s * d[2] / r};
       const std::vector<double> g =
-          model.embedding_net(dp::DeepPotModel::pair_index(types[i], types[nb.index]))
+          model.embedding_net(dp::DeepPotModel::pair_index(types[i], types[j]))
               .forward(std::span(&s, 1));
       for (std::size_t m = 0; m < m1; ++m) {
         for (std::size_t c = 0; c < 4; ++c) {
