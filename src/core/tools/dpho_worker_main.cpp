@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,7 +27,7 @@
 #include "core/eval_config_io.hpp"
 #include "core/evaluator.hpp"
 #include "ea/individual.hpp"
-#include "hpc/net/frame.hpp"
+#include "hpc/net/connection.hpp"
 #include "hpc/net/wire.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -38,18 +37,6 @@
 namespace {
 
 using namespace dpho;
-
-/// Serializes result and heartbeat writes onto the shared scheduler socket.
-struct SchedulerLink {
-  int fd = -1;
-  std::mutex mutex;
-
-  bool send(const util::Json& message) {
-    const std::string payload = message.dump();
-    const std::lock_guard<std::mutex> lock(mutex);
-    return hpc::net::write_frame(fd, payload);
-  }
-};
 
 int worker_main(int argc, char** argv) {
   util::ArgParser args;
@@ -69,12 +56,13 @@ int worker_main(int argc, char** argv) {
     return raw ? std::atof(raw) : 0.0;
   }();
 
-  SchedulerLink link;
-  link.fd = hpc::net::connect_loopback(port);
-  if (!link.send(hpc::net::encode_hello(token, ::getpid()))) return 1;
+  // Results and heartbeats share the socket; Connection::send serializes them.
+  hpc::net::Connection link(hpc::net::connect_loopback(port),
+                            hpc::net::kMaxFramePayload);
+  if (!link.send(hpc::net::encode_hello(token, ::getpid()).dump())) return 1;
 
   // The init frame configures the evaluator and the heartbeat cadence.
-  const std::optional<std::string> init_frame = hpc::net::read_frame(link.fd);
+  const std::optional<std::string> init_frame = hpc::net::read_frame(link.fd());
   if (!init_frame) return 1;
   const util::Json init = util::Json::parse(*init_frame);
   if (hpc::net::message_type(init) != hpc::net::kMsgInit) {
@@ -92,7 +80,7 @@ int worker_main(int argc, char** argv) {
     std::uint64_t seq = 0;
     while (!done.load(std::memory_order_relaxed)) {
       if (heartbeats_enabled.load(std::memory_order_relaxed)) {
-        if (!link.send(hpc::net::encode_heartbeat(seq++))) break;
+        if (!link.send(hpc::net::encode_heartbeat(seq++).dump())) break;
       }
       std::this_thread::sleep_for(
           std::chrono::duration<double>(heartbeat_interval));
@@ -101,7 +89,7 @@ int worker_main(int argc, char** argv) {
 
   int exit_code = 0;
   for (;;) {
-    const std::optional<std::string> frame = hpc::net::read_frame(link.fd);
+    const std::optional<std::string> frame = hpc::net::read_frame(link.fd());
     if (!frame) break;  // scheduler died or closed the connection
     const util::Json message = util::Json::parse(*frame);
     const std::string type = hpc::net::message_type(message);
@@ -138,12 +126,11 @@ int worker_main(int argc, char** argv) {
       result.training_error = true;
       result.cause = hpc::FailureCause::kException;
     }
-    if (!link.send(hpc::net::encode_result(spec.id, result))) break;
+    if (!link.send(hpc::net::encode_result(spec.id, result).dump())) break;
   }
 
   done.store(true, std::memory_order_relaxed);
   heartbeat.join();
-  ::close(link.fd);
   return exit_code;
 }
 

@@ -6,6 +6,19 @@
 namespace dpho::dp {
 
 TrainInput TrainInput::from_json(const util::Json& json) {
+  // Counts go through as_uint, so -1 is an error naming the field rather
+  // than a wrapped 2^64-1 that passes validate().
+  const auto read_count = [](const util::Json& block, const char* key,
+                             std::size_t& out) {
+    if (!block.contains(key)) return;
+    try {
+      out = block.at(key).as_uint();
+    } catch (const util::ValueError&) {
+      throw util::ValueError(std::string("config: ") + key +
+                             " must be an integer in [0, 2^64), got " +
+                             block.at(key).dump());
+    }
+  };
   TrainInput input;
   if (json.contains("model")) {
     // The architecture block is ModelSpec's domain; share its parser.
@@ -17,10 +30,7 @@ TrainInput TrainInput::from_json(const util::Json& json) {
     const util::Json& lr = json.at("learning_rate");
     input.learning_rate.start_lr = lr.number_or("start_lr", input.learning_rate.start_lr);
     input.learning_rate.stop_lr = lr.number_or("stop_lr", input.learning_rate.stop_lr);
-    if (lr.contains("decay_steps")) {
-      input.learning_rate.decay_steps =
-          static_cast<std::size_t>(lr.at("decay_steps").as_int());
-    }
+    read_count(lr, "decay_steps", input.learning_rate.decay_steps);
     if (lr.contains("scale_by_worker")) {
       input.learning_rate.scale_by_worker =
           nn::lr_scaling_from_string(lr.at("scale_by_worker").as_string());
@@ -35,25 +45,14 @@ TrainInput TrainInput::from_json(const util::Json& json) {
   }
   if (json.contains("training")) {
     const util::Json& training = json.at("training");
-    if (training.contains("numb_steps")) {
-      input.training.numb_steps =
-          static_cast<std::size_t>(training.at("numb_steps").as_int());
-    }
-    if (training.contains("batch_size")) {
-      input.training.batch_size =
-          static_cast<std::size_t>(training.at("batch_size").as_int());
-    }
-    if (training.contains("disp_freq")) {
-      input.training.disp_freq =
-          static_cast<std::size_t>(training.at("disp_freq").as_int());
-    }
+    read_count(training, "numb_steps", input.training.numb_steps);
+    read_count(training, "batch_size", input.training.batch_size);
+    read_count(training, "disp_freq", input.training.disp_freq);
     if (training.contains("seed")) {
       input.training.seed = static_cast<std::uint64_t>(training.at("seed").as_int());
     }
   }
-  if (json.contains("num_workers")) {
-    input.num_workers = static_cast<std::size_t>(json.at("num_workers").as_int());
-  }
+  read_count(json, "num_workers", input.num_workers);
   input.validate();
   return input;
 }

@@ -54,17 +54,24 @@ FaultPlan fault_plan_from_json(const util::Json& json) {
     // bad JSON line.
     const std::string where = "fault plan event " + std::to_string(index);
     try {
+      // Counts go through as_uint: -1 must not wrap to an event that never
+      // fires, nor 1e30 to an undefined cast.
+      const auto count = [&entry](const char* key) -> std::size_t {
+        const util::Json& value = entry.at(key);
+        try {
+          return value.as_uint();
+        } catch (const util::ValueError&) {
+          throw util::ParseError(std::string(key) + " must be an integer in " +
+                                 "[0, 2^64), got " + value.dump());
+        }
+      };
       FaultEvent event;
       event.kind = fault_kind_from_string(entry.at("kind").as_string());
-      event.batch = static_cast<std::size_t>(entry.at("batch").as_int());
+      event.batch = count("batch");
       // task is meaningless for scheduler_restart events, so it is optional.
-      event.task = static_cast<std::size_t>(entry.number_or("task", 0.0));
-      const double attempt = entry.number_or("attempt", 1.0);
-      if (attempt < 1.0) {
-        throw util::ParseError("attempt must be >= 1, got " +
-                               std::to_string(attempt));
-      }
-      event.attempt = static_cast<std::size_t>(attempt);
+      if (entry.contains("task")) event.task = count("task");
+      if (entry.contains("attempt")) event.attempt = count("attempt");
+      if (event.attempt < 1) throw util::ParseError("attempt must be >= 1, got 0");
       event.factor = entry.number_or("factor", 1.0);
       if (event.factor < 0.0) {
         throw util::ParseError("factor must be >= 0, got " +

@@ -5,53 +5,11 @@
 
 namespace dpho::sched {
 
-namespace {
-
-/// A non-negative integer field (ids, counts); throws ParseError when the
-/// field is missing or not a number, ValueError when negative.
-std::uint64_t uint_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_number()) {
-    throw util::ParseError("sched message: missing numeric field " + key);
-  }
-  const double value = message.at(key).as_number();
-  if (value < 0.0) {
-    throw util::ValueError("sched message: field " + key + " must be >= 0");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-const std::string& string_field(const util::Json& message,
-                                const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_string()) {
-    throw util::ParseError("sched message: missing string field " + key);
-  }
-  return message.at(key).as_string();
-}
-
-bool bool_field(const util::Json& message, const std::string& key,
-                bool fallback) {
-  if (!message.contains(key)) return fallback;
-  if (!message.at(key).is_bool()) {
-    throw util::ParseError("sched message: field " + key + " must be a bool");
-  }
-  return message.at(key).as_bool();
-}
-
-double number_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_number()) {
-    throw util::ParseError("sched message: missing numeric field " + key);
-  }
-  return message.at(key).as_number();
-}
-
-void expect_type(const util::Json& message, const char* tag) {
-  if (message_type(message) != tag) {
-    throw util::ParseError("sched message: expected t=" + std::string(tag) +
-                           ", got t=" + message_type(message));
-  }
-}
-
-}  // namespace
+using hpc::net::bool_field;
+using hpc::net::expect_type;
+using hpc::net::number_field;
+using hpc::net::string_field;
+using hpc::net::uint_field;
 
 std::string to_string(ErrorCode code) {
   switch (code) {
@@ -141,27 +99,18 @@ util::Json run_spec_to_json(const RunSpec& spec) {
 }
 
 RunSpec run_spec_from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw util::ParseError("sched message: run spec must be an object");
-  }
-  RunSpec spec;
+  RunSpec spec;  // a non-object spec fails string_field like a missing name
   spec.name = string_field(json, "name");
   spec.seed = hpc::net::decode_u64(string_field(json, "seed"));
-  spec.population_size =
-      static_cast<std::size_t>(uint_field(json, "population_size"));
-  spec.num_workers = static_cast<std::size_t>(uint_field(json, "num_workers"));
-  spec.total_evaluations =
-      static_cast<std::size_t>(uint_field(json, "total_evaluations"));
-  if (json.contains("weight")) {
-    spec.weight = static_cast<std::size_t>(uint_field(json, "weight"));
-  }
+  spec.population_size = uint_field(json, "population_size");
+  spec.num_workers = uint_field(json, "num_workers");
+  spec.total_evaluations = uint_field(json, "total_evaluations");
+  if (json.contains("weight")) spec.weight = uint_field(json, "weight");
   if (json.contains("max_in_flight")) {
-    spec.max_in_flight =
-        static_cast<std::size_t>(uint_field(json, "max_in_flight"));
+    spec.max_in_flight = uint_field(json, "max_in_flight");
   }
   if (json.contains("checkpoint_every")) {
-    spec.checkpoint_every =
-        static_cast<std::size_t>(uint_field(json, "checkpoint_every"));
+    spec.checkpoint_every = uint_field(json, "checkpoint_every");
   }
   spec.include_runtime_objective =
       bool_field(json, "include_runtime_objective", false);
@@ -185,20 +134,16 @@ util::Json run_status_to_json(const RunStatus& status) {
 }
 
 RunStatus run_status_from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw util::ParseError("sched message: run status must be an object");
-  }
-  RunStatus status;
+  RunStatus status;  // a non-object status fails string_field like a missing name
   status.name = string_field(json, "name");
   validate_run_name(status.name);
   status.phase = run_phase_from_string(string_field(json, "phase"));
   status.seed = hpc::net::decode_u64(string_field(json, "seed"));
-  status.completions = static_cast<std::size_t>(uint_field(json, "completions"));
-  status.births = static_cast<std::size_t>(uint_field(json, "births"));
-  status.budget = static_cast<std::size_t>(uint_field(json, "budget"));
-  status.queued = static_cast<std::size_t>(uint_field(json, "queued"));
-  status.outstanding =
-      static_cast<std::size_t>(uint_field(json, "outstanding"));
+  status.completions = uint_field(json, "completions");
+  status.births = uint_field(json, "births");
+  status.budget = uint_field(json, "budget");
+  status.queued = uint_field(json, "queued");
+  status.outstanding = uint_field(json, "outstanding");
   status.now_minutes = number_field(json, "now_minutes");
   if (status.now_minutes < 0.0) {
     throw util::ValueError("sched message: now_minutes must be >= 0");
@@ -208,14 +153,6 @@ RunStatus run_status_from_json(const util::Json& json) {
     throw util::ValueError("sched message: failed status must carry an error");
   }
   return status;
-}
-
-std::string message_type(const util::Json& message) {
-  if (!message.is_object() || !message.contains("t") ||
-      !message.at("t").is_string()) {
-    throw util::ParseError("sched message: missing \"t\" tag");
-  }
-  return message.at("t").as_string();
 }
 
 util::Json encode_submit_request(const SubmitRequest& request) {

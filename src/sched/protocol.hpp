@@ -21,17 +21,19 @@
 // Seeds are 64-bit and travel as fixed-width hex strings (hpc::net::wire's
 // encode_u64), since JSON numbers cannot hold the full uint64 range.
 //
-// Decoders validate structure and throw util::ParseError (malformed JSON or
-// missing/ill-typed fields) or util::ValueError (structurally valid but
-// out-of-contract values, e.g. an empty run name or a zero population).
-// They never crash on hostile input; the sched protocol fuzz tests feed them
-// truncated and bit-flipped frames.
+// Decoders read every field through the shared hpc/net/wire field layer and
+// throw util::ParseError (malformed JSON or missing/ill-typed fields) or
+// util::ValueError (structurally valid but out-of-contract values, e.g. an
+// empty run name, a zero population or a count that is not an integer in
+// [0, 2^64)).  They never crash on hostile input; tests/support/codec_fuzz.hpp
+// feeds them truncated and bit-flipped frames and out-of-range integers.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "hpc/net/wire.hpp"
 #include "util/json.hpp"
 
 namespace dpho::sched {
@@ -150,8 +152,8 @@ struct ErrorReply {
   std::string message;
 };
 
-/// The "t" tag of a decoded message; throws util::ParseError when absent.
-std::string message_type(const util::Json& message);
+/// The "t" tag of a decoded message (the shared wire field layer).
+using hpc::net::message_type;
 
 util::Json encode_submit_request(const SubmitRequest& request);
 SubmitRequest decode_submit_request(const util::Json& message);

@@ -3,10 +3,11 @@
 // Single-threaded by design: the Scheduler interleaves N engine event loops
 // that share RNGs, archives and one TaskMux, so the server multiplexes
 // client sockets AND run stepping from one poll loop instead of spawning
-// request threads.  Each round accepts pending connections, drains complete
-// frames (per-connection FrameReader, length-capped before allocation),
-// answers each request inline, then gives the scheduler one step() -- with a
-// process-backend pool the step's pump doubles as the loop's pacing wait.
+// request threads.  Each round is one zero-wait hpc::net::ConnectionServer
+// poll (accept, then read only the peers poll() flags as ready; an oversized
+// length prefix drops that peer alone), answers each request inline, then
+// gives the scheduler one step() -- with a process-backend pool the step's
+// pump doubles as the loop's pacing wait.
 //
 // Requests never block on evaluation work: submit returns once the initial
 // wave is queued at the mux, status/list/cancel are O(runs), and a finished
@@ -15,11 +16,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "hpc/net/frame.hpp"
+#include "hpc/net/connection.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dpho::sched {
@@ -42,7 +41,7 @@ class Server {
 
   /// Binds an ephemeral loopback port (valid port() afterwards).
   void start();
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return connections_.port(); }
 
   Scheduler& scheduler() { return scheduler_; }
 
@@ -61,28 +60,14 @@ class Server {
   std::uint64_t requests_served() const { return requests_served_; }
 
  private:
-  struct Connection {
-    explicit Connection(int socket_fd, std::uint32_t max_frame_bytes)
-        : fd(socket_fd), reader(max_frame_bytes) {}
-    ~Connection();
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
-    int fd;
-    hpc::net::FrameReader reader;
-  };
-
-  void accept_pending();
-  /// Drains one connection; returns false when it should be dropped.
-  bool service_connection(Connection& connection);
-  void handle_frame(Connection& connection, const std::string& payload);
+  void handle_frame(const hpc::net::ConnectionServer::Peer& connection,
+                    const std::string& payload);
   /// The request->reply map; throws SchedError / util::Error on refusal.
   util::Json dispatch(const util::Json& message);
 
   ServerOptions options_;
   Scheduler scheduler_;
-  hpc::net::Listener listener_;
-  std::map<int, std::unique_ptr<Connection>> connections_;
+  hpc::net::ConnectionServer connections_;
   std::atomic<bool> stop_{false};
   std::uint64_t requests_served_ = 0;
 };

@@ -6,53 +6,23 @@ namespace dpho::serve {
 
 namespace {
 
-/// A non-negative integer field (ids, counts); throws ParseError when the
-/// field is missing or not a number, ValueError when negative.
-std::uint64_t uint_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_number()) {
-    throw util::ParseError("serve message: missing numeric field " + key);
-  }
-  const double value = message.at(key).as_number();
-  if (value < 0.0) {
-    throw util::ValueError("serve message: field " + key + " must be >= 0");
-  }
-  return static_cast<std::uint64_t>(value);
-}
+using hpc::net::array_field;
+using hpc::net::expect_type;
+using hpc::net::number_field;
+using hpc::net::string_field;
+using hpc::net::uint_field;
 
-const std::string& string_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_string()) {
-    throw util::ParseError("serve message: missing string field " + key);
-  }
-  return message.at(key).as_string();
-}
-
-const util::JsonArray& array_field(const util::Json& message,
-                                   const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_array()) {
-    throw util::ParseError("serve message: missing array field " + key);
-  }
-  return message.at(key).as_array();
-}
-
-/// Flat [x0,y0,z0,x1,...] triplet list -> Vec3s; validates every element.
-std::vector<md::Vec3> decode_triplets(const util::Json& flat,
-                                      const std::string& what) {
-  if (!flat.is_array()) {
-    throw util::ParseError("serve message: " + what + " must be an array");
-  }
-  const util::JsonArray& values = flat.as_array();
+/// Flat [x0,y0,z0,x1,...] triplet field -> Vec3s; validates every element.
+std::vector<md::Vec3> decode_triplets(const util::Json& message,
+                                      const std::string& key) {
+  const std::vector<double> values = hpc::net::numbers_field(message, key);
   if (values.empty() || values.size() % 3 != 0) {
-    throw util::ValueError("serve message: " + what +
+    throw util::ValueError("serve message: " + key +
                            " length must be a positive multiple of 3, got " +
                            std::to_string(values.size()));
   }
   std::vector<md::Vec3> out(values.size() / 3);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (!values[i].is_number()) {
-      throw util::ParseError("serve message: " + what + " holds a non-number");
-    }
-    out[i / 3][i % 3] = values[i].as_number();
-  }
+  for (std::size_t i = 0; i < values.size(); ++i) out[i / 3][i % 3] = values[i];
   return out;
 }
 
@@ -65,13 +35,6 @@ util::Json encode_triplets(const std::vector<md::Vec3>& vectors) {
     flat.emplace_back(v[2]);
   }
   return flat;
-}
-
-void expect_type(const util::Json& message, const char* tag) {
-  if (message_type(message) != tag) {
-    throw util::ParseError("serve message: expected t=" + std::string(tag) +
-                           ", got t=" + message_type(message));
-  }
 }
 
 }  // namespace
@@ -94,14 +57,6 @@ ErrorCode error_code_from_string(const std::string& name) {
   if (name == "too_large") return ErrorCode::kTooLarge;
   if (name == "internal") return ErrorCode::kInternal;
   throw util::ValueError("serve message: unknown error code " + name);
-}
-
-std::string message_type(const util::Json& message) {
-  if (!message.is_object() || !message.contains("t") ||
-      !message.at("t").is_string()) {
-    throw util::ParseError("serve message: missing \"t\" tag");
-  }
-  return message.at("t").as_string();
 }
 
 util::Json encode_eval_request(const EvalRequest& request) {
@@ -127,12 +82,7 @@ EvalRequest decode_eval_request(const util::Json& message) {
   EvalRequest request;
   request.id = uint_field(message, "id");
   request.model = string_field(message, "model");
-  if (message.contains("forces")) {
-    if (!message.at("forces").is_bool()) {
-      throw util::ParseError("serve message: forces must be a bool");
-    }
-    request.want_forces = message.at("forces").as_bool();
-  }
+  request.want_forces = hpc::net::bool_field(message, "forces", false);
   const util::JsonArray& frames = array_field(message, "frames");
   if (frames.empty()) {
     throw util::ValueError("serve message: eval request holds no frames");
@@ -144,18 +94,12 @@ EvalRequest decode_eval_request(const util::Json& message) {
   }
   request.frames.reserve(frames.size());
   for (const util::Json& entry : frames) {
-    if (!entry.is_object()) {
-      throw util::ParseError("serve message: frame must be an object");
-    }
-    md::Frame frame;
-    if (!entry.contains("box") || !entry.at("box").is_number()) {
-      throw util::ParseError("serve message: frame missing numeric box");
-    }
-    frame.box_length = entry.at("box").as_number();
+    md::Frame frame;  // a non-object entry fails number_field like a missing box
+    frame.box_length = number_field(entry, "box");
     if (frame.box_length <= 0.0) {
       throw util::ValueError("serve message: frame box must be positive");
     }
-    frame.positions = decode_triplets(entry.at("coords"), "coords");
+    frame.positions = decode_triplets(entry, "coords");
     request.frames.push_back(std::move(frame));
   }
   return request;
@@ -189,12 +133,7 @@ EvalReply decode_eval_reply(const util::Json& message) {
   EvalReply reply;
   reply.id = uint_field(message, "id");
   reply.model = string_field(message, "model");
-  for (const util::Json& energy : array_field(message, "energies")) {
-    if (!energy.is_number()) {
-      throw util::ParseError("serve message: energies holds a non-number");
-    }
-    reply.energies.push_back(energy.as_number());
-  }
+  reply.energies = hpc::net::numbers_field(message, "energies");
   if (message.contains("forces")) {
     const util::JsonArray& frames = array_field(message, "forces");
     if (frames.size() != reply.energies.size()) {
@@ -275,13 +214,10 @@ std::vector<CatalogModel> decode_catalog_reply(const util::Json& message) {
   expect_type(message, kMsgCatalog);
   std::vector<CatalogModel> models;
   for (const util::Json& row : array_field(message, "models")) {
-    if (!row.is_object()) {
-      throw util::ParseError("serve message: catalog row must be an object");
-    }
-    CatalogModel model;
+    CatalogModel model;  // a non-object row fails string_field like a missing id
     model.id = string_field(row, "id");
     model.rank = static_cast<int>(uint_field(row, "rank"));
-    model.num_atoms = static_cast<std::size_t>(uint_field(row, "atoms"));
+    model.num_atoms = uint_field(row, "atoms");
     model.spec = row.string_or("spec", "");
     if (row.contains("objectives")) {
       if (!row.at("objectives").is_object()) {

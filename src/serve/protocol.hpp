@@ -19,17 +19,20 @@
 // daemon is bit-identical to a direct dp::Potential::evaluate of the same
 // frame -- the serve e2e tests assert exactly that.
 //
-// Decoders validate structure and throw util::ParseError (malformed JSON or
-// missing/ill-typed fields) or util::ValueError (structurally valid but
-// out-of-contract values, e.g. a coords list that is not a multiple of 3, or
-// a batch beyond kMaxBatchFrames).  They never crash on hostile input; the
-// protocol fuzz tests feed them truncated and bit-flipped frames.
+// Decoders read every field through the shared hpc/net/wire field layer and
+// throw util::ParseError (malformed JSON or missing/ill-typed fields) or
+// util::ValueError (structurally valid but out-of-contract values, e.g. an
+// id that is not an integer in [0, 2^64), a coords list that is not a
+// multiple of 3, or a batch beyond kMaxBatchFrames).  They never crash on
+// hostile input; tests/support/codec_fuzz.hpp feeds them truncated and
+// bit-flipped frames and out-of-range integers.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "hpc/net/wire.hpp"
 #include "md/dataset.hpp"
 #include "util/json.hpp"
 
@@ -94,8 +97,8 @@ struct CatalogModel {
   std::vector<std::pair<std::string, double>> objectives;
 };
 
-/// The "t" tag of a decoded message; throws util::ParseError when absent.
-std::string message_type(const util::Json& message);
+/// The "t" tag of a decoded message (the shared wire field layer).
+using hpc::net::message_type;
 
 util::Json encode_eval_request(const EvalRequest& request);
 EvalRequest decode_eval_request(const util::Json& message);

@@ -1,9 +1,7 @@
 #include "serve/server.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "obs/event_sink.hpp"
@@ -30,12 +28,11 @@ void record_timing(const char* name, double seconds) {
 
 }  // namespace
 
-Server::Connection::~Connection() { ::close(fd); }
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       archive_(dp::ModelArchive::open(options_.archive_dir)),
-      cache_(archive_, options_.cache_capacity) {
+      cache_(archive_, options_.cache_capacity),
+      connections_(options_.max_frame_bytes) {
   if (options_.max_queue == 0) {
     throw util::ValueError("serve: max_queue must be >= 1");
   }
@@ -56,14 +53,14 @@ Server::Server(ServerOptions options)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  listener_.open();
+  connections_.open();
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread(&Server::io_loop, this);
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
     workers_.emplace_back(&Server::worker_loop, this);
   }
-  obs::events().emit("serve.start", {{"port", std::size_t{listener_.port()}},
+  obs::events().emit("serve.start", {{"port", std::size_t{connections_.port()}},
                                      {"models", catalog_.size()},
                                      {"threads", options_.threads}});
 }
@@ -94,11 +91,7 @@ void Server::stop() {
     if (worker.joinable()) worker.join();
   }
   // Threads are gone; connection fds close as the last shared_ptrs drop.
-  for (auto& [fd, connection] : connections_) {
-    connection->alive.store(false, std::memory_order_release);
-  }
-  connections_.clear();
-  listener_.close();
+  connections_.close();
   {
     const std::scoped_lock lock(queue_mutex_);
     queue_.clear();
@@ -114,34 +107,21 @@ bool Server::idle() const {
 }
 
 void Server::io_loop() {
+  const hpc::net::ConnectionServer::FrameHandler on_frame =
+      std::bind_front(&Server::handle_frame, this);
+  const hpc::net::ConnectionServer::CloseHandler on_close =
+      std::bind_front(&Server::handle_close, this);
   while (running_.load(std::memory_order_acquire)) {
-    if (draining_.load(std::memory_order_acquire) && listener_.is_open()) {
-      listener_.close();  // no new connections during a drain
+    if (draining_.load(std::memory_order_acquire) && connections_.listening()) {
+      connections_.close_listener();  // no new connections during a drain
     }
-
-    std::vector<::pollfd> fds;
-    fds.reserve(connections_.size() + 1);
-    if (listener_.is_open()) {
-      fds.push_back({listener_.fd(), POLLIN, 0});
+    // The 20 ms wake observes the stop and drain flags without traffic.
+    const hpc::net::PollRound round = connections_.poll(20, on_frame, on_close);
+    if (round.accepted > 0) {
+      obs::metrics().counter("serve.connections").add(
+          static_cast<std::int64_t>(round.accepted));
     }
-    for (const auto& [fd, connection] : connections_) {
-      fds.push_back({fd, POLLIN, 0});
-    }
-    // Short timeout so stop/drain flags are observed promptly even when no
-    // client traffic arrives.
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
-
-    if (listener_.is_open()) accept_pending();
-
-    std::vector<int> dropped;
-    for (const auto& [fd, connection] : connections_) {
-      if (!service_connection(connection)) dropped.push_back(fd);
-    }
-    for (const int fd : dropped) {
-      connections_.at(fd)->alive.store(false, std::memory_order_release);
-      connections_.erase(fd);
-    }
-    if (!dropped.empty()) {
+    if (round.accepted > 0 || round.retired > 0) {
       obs::metrics().gauge("serve.connections_active")
           .set(static_cast<double>(connections_.size()));
     }
@@ -158,66 +138,34 @@ void Server::io_loop() {
   drained_cv_.notify_all();
 }
 
-void Server::accept_pending() {
-  while (true) {
-    const int fd = listener_.accept_nonblocking();
-    if (fd < 0) break;
-    connections_.emplace(
-        fd, std::make_shared<Connection>(fd, options_.max_frame_bytes));
-    obs::metrics().counter("serve.connections").add();
-    obs::metrics().gauge("serve.connections_active")
-        .set(static_cast<double>(connections_.size()));
-  }
-}
-
-bool Server::service_connection(const std::shared_ptr<Connection>& connection) {
-  const bool open = connection->reader.drain(connection->fd);
-  while (std::optional<std::string> frame = connection->reader.next()) {
-    handle_frame(connection, *frame);
-  }
-  if (open) return true;
-  switch (connection->reader.error()) {
-    case hpc::net::FrameError::kOversized:
-      obs::metrics().counter("serve.oversized").add();
-      send_error(connection, 0, ErrorCode::kTooLarge,
-                 "declared frame of " +
-                     std::to_string(connection->reader.oversized_length()) +
-                     " bytes exceeds the " +
-                     std::to_string(options_.max_frame_bytes) + "-byte cap");
-      break;
-    case hpc::net::FrameError::kClosed:
-    case hpc::net::FrameError::kReset:
-      obs::metrics().counter("serve.disconnects").add();
-      obs::events().emit("serve.disconnect",
-                         {{"error", to_string(connection->reader.error())}});
-      break;
-    case hpc::net::FrameError::kNone:
-      break;
-  }
-  return false;
-}
-
-void Server::handle_frame(const std::shared_ptr<Connection>& connection,
-                          const std::string& payload) {
-  util::Json message;
-  try {
-    message = util::Json::parse(payload);
-  } catch (const std::exception& e) {
-    send_error(connection, 0, ErrorCode::kBadRequest,
-               std::string("malformed JSON: ") + e.what());
+void Server::handle_close(const Peer& connection, hpc::net::FrameError error) {
+  if (error == hpc::net::FrameError::kOversized) {
+    obs::metrics().counter("serve.oversized").add();
+    send_error(connection, 0, ErrorCode::kTooLarge,
+               "declared frame of " +
+                   std::to_string(connection->reader().oversized_length()) +
+                   " bytes exceeds the " +
+                   std::to_string(options_.max_frame_bytes) + "-byte cap");
     return;
   }
+  obs::metrics().counter("serve.disconnects").add();
+  obs::events().emit("serve.disconnect", {{"error", to_string(error)}});
+}
+
+void Server::handle_frame(const Peer& connection, const std::string& payload) {
+  util::Json message;
   std::string type;
   try {
+    message = util::Json::parse(payload);
     type = message_type(message);
   } catch (const std::exception& e) {
-    send_error(connection, 0, ErrorCode::kBadRequest, e.what());
+    send_error(connection, 0, ErrorCode::kBadRequest,
+               std::string("malformed request: ") + e.what());
     return;
   }
-  const auto id = static_cast<std::uint64_t>(
-      std::max(0.0, message.number_or("id", 0.0)));
+  const std::uint64_t id = hpc::net::reply_id(message);
   if (type == kMsgCatalog) {
-    send(connection, encode_catalog_reply(id, catalog_));
+    connection->send(encode_catalog_reply(id, catalog_).dump());
     return;
   }
   if (type != kMsgEval) {
@@ -245,8 +193,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& connection,
   handle_eval(connection, std::move(request));
 }
 
-void Server::handle_eval(const std::shared_ptr<Connection>& connection,
-                         EvalRequest request) {
+void Server::handle_eval(const Peer& connection, EvalRequest request) {
   const auto served = served_.find(request.model);
   if (served == served_.end()) {
     send_error(connection, request.id, ErrorCode::kUnknownModel,
@@ -346,7 +293,7 @@ void Server::process(Job job) {
     // hand must never observe a requests_served() that excludes it.
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     obs::metrics().counter("serve.replies").add();
-    send(job.connection, encode_eval_reply(reply));
+    job.connection->send(encode_eval_reply(reply).dump());
     record_timing("serve.request_seconds",
                   std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 job.enqueued)
@@ -359,27 +306,13 @@ void Server::process(Job job) {
   }
 }
 
-void Server::send_error(const std::shared_ptr<Connection>& connection,
-                        std::uint64_t id, ErrorCode code,
-                        const std::string& message) {
+void Server::send_error(const Peer& connection, std::uint64_t id,
+                        ErrorCode code, const std::string& message) {
   obs::metrics().counter("serve.errors").add();
   obs::metrics().counter("serve.errors." + to_string(code)).add();
   obs::events().emit("serve.error",
                      {{"id", id}, {"code", to_string(code)}, {"message", message}});
-  send(connection, encode_error(ErrorReply{id, code, message}));
-}
-
-void Server::send(const std::shared_ptr<Connection>& connection,
-                  const util::Json& message) {
-  const std::scoped_lock lock(connection->write_mutex);
-  if (!connection->alive.load(std::memory_order_acquire)) return;
-  // A false return means the peer vanished mid-reply; the reader side will
-  // observe the close on the next drain and retire the connection.
-  try {
-    hpc::net::write_frame(connection->fd, message.dump());
-  } catch (const util::IoError&) {
-    // The IO thread owns connection teardown; nothing to do here.
-  }
+  connection->send(encode_error(ErrorReply{id, code, message}).dump());
 }
 
 }  // namespace dpho::serve

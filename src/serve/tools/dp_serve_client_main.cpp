@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "hpc/net/frame.hpp"
+#include "hpc/net/wire.hpp"
 #include "serve/protocol.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -43,19 +44,6 @@ md::Frame random_frame(util::Rng& rng, std::size_t atoms, double box) {
     p = {rng.uniform(0.0, box), rng.uniform(0.0, box), rng.uniform(0.0, box)};
   }
   return frame;
-}
-
-/// One blocking request/reply exchange; throws util errors on transport or
-/// decode failure.
-util::Json exchange(int fd, const util::Json& request) {
-  if (!hpc::net::write_frame(fd, request.dump())) {
-    throw util::IoError("dp_serve_client: daemon closed the connection");
-  }
-  const std::optional<std::string> reply = hpc::net::read_frame(fd);
-  if (!reply) {
-    throw util::IoError("dp_serve_client: connection lost awaiting the reply");
-  }
-  return util::Json::parse(*reply);
 }
 
 }  // namespace
@@ -112,7 +100,8 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<serve::CatalogModel> catalog =
-        serve::decode_catalog_reply(exchange(fd, serve::encode_catalog_request(1)));
+        serve::decode_catalog_reply(
+            hpc::net::exchange(fd, serve::encode_catalog_request(1)));
     if (catalog.empty()) {
       std::fprintf(stderr, "dp_serve_client: daemon serves no models\n");
       return 1;
@@ -139,7 +128,8 @@ int main(int argc, char** argv) {
         request.frames.push_back(random_frame(rng, atoms, box));
       }
       const auto sent = std::chrono::steady_clock::now();
-      const util::Json reply = exchange(fd, serve::encode_eval_request(request));
+      const util::Json reply =
+          hpc::net::exchange(fd, serve::encode_eval_request(request));
       total_latency +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - sent)
               .count();

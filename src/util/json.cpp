@@ -52,7 +52,20 @@ std::int64_t Json::as_int() const {
   const double d = as_number();
   const double rounded = std::nearbyint(d);
   if (std::abs(d - rounded) > 1e-9) throw ValueError("json number is not integral");
+  // 2^63 is exact in a double; the negated test also catches NaN.
+  if (!(rounded >= -0x1p63 && rounded < 0x1p63)) {
+    throw ValueError("json number " + Json(d).dump() + " is outside the int64 range");
+  }
   return static_cast<std::int64_t>(rounded);
+}
+
+std::uint64_t Json::as_uint() const {
+  const double d = as_number();
+  if (!(d >= 0.0 && d < 0x1p64) || d != std::trunc(d)) {
+    throw ValueError("json number " + Json(d).dump() +
+                     " is not an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(d);
 }
 
 const std::string& Json::as_string() const {

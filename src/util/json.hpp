@@ -67,10 +67,13 @@ class Json {
   bool is_array() const { return std::holds_alternative<JsonArray>(value_); }
   bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
 
-  /// Typed accessors; throw ValueError on type mismatch.
+  /// Typed accessors; throw ValueError on type mismatch.  as_int takes an
+  /// integral number in [-2^63, 2^63) and as_uint one in [0, 2^64); anything
+  /// else throws ValueError, so every cast they make is defined.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  std::uint64_t as_uint() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   JsonArray& as_array();

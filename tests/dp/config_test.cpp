@@ -112,5 +112,27 @@ TEST(Config, NegativeWidthRejected) {
                util::ValueError);
 }
 
+TEST(Config, CountsMustBeNonNegativeIntegersAndErrorsNameTheField) {
+  // A wrapped "batch_size": -1 would be 2^64-1 and pass validate().
+  const std::pair<const char*, const char*> fields[] = {
+      {"training", "numb_steps"}, {"training", "batch_size"},
+      {"training", "disp_freq"}, {"learning_rate", "decay_steps"},
+      {nullptr, "num_workers"}};
+  for (const auto& [block, field] : fields) {
+    for (const char* bad : {"-1", "1e30", "2.5"}) {
+      const std::string member = std::string("\"") + field + "\": " + bad;
+      const std::string text =
+          block ? "{\"" + std::string(block) + "\": {" + member + "}}"
+                : "{" + member + "}";
+      try {
+        TrainInput::from_json_text(text);
+        ADD_FAILURE() << text << " parsed";
+      } catch (const util::ValueError& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dpho::dp

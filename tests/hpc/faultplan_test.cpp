@@ -261,5 +261,29 @@ TEST(FaultPlanIo, LoadsFromFileAndRejectsUnknownKind) {
   EXPECT_THROW(load_fault_plan(path), util::ParseError);
 }
 
+TEST(FaultPlanIo, CountsMustBeNonNegativeIntegersAndErrorsNameEventAndField) {
+  // A wrapped -1 is an event that never fires and 1e30 an undefined cast;
+  // both must be typed errors that name the event and the field.
+  for (const std::string field : {"batch", "task", "attempt"}) {
+    for (const char* bad : {"-1", "1e30", "2.5"}) {
+      const std::string text = "{\"events\": [{\"kind\": \"kill_worker\","
+                               " \"batch\": 0}, {\"kind\": \"kill_worker\","
+                               " \"batch\": 1, \"" + field + "\": " + bad + "}]}";
+      try {
+        fault_plan_from_json(util::Json::parse(text));
+        ADD_FAILURE() << field << " = " << bad << " loaded";
+      } catch (const util::ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("fault plan event 1"), std::string::npos) << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_THROW(fault_plan_from_json(util::Json::parse(
+                   "{\"events\": [{\"kind\": \"kill_worker\", \"batch\": 0,"
+                   " \"attempt\": 0}]}")),
+               util::ParseError);
+}
+
 }  // namespace
 }  // namespace dpho::hpc

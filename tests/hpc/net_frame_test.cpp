@@ -1,17 +1,24 @@
 // Length-prefixed framing over loopback TCP: round trips, incremental
-// decoding, protocol-violation handling, and listener rebind.
+// decoding, protocol-violation handling, listener rebind, the shared
+// ConnectionServer, and the worker wire codec (round trips and the
+// tests/support/codec_fuzz.hpp passes).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "hpc/net/connection.hpp"
 #include "hpc/net/frame.hpp"
 #include "hpc/net/wire.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+
+#include "codec_fuzz.hpp"
 
 namespace dpho::hpc::net {
 namespace {
@@ -283,6 +290,107 @@ TEST(NetFrame, RebindMovesToAFreshPort) {
   ::close(server);
 }
 
+TEST(NetFrame, ConnectionServerDrainsReadyPeersAndReportsOversizeBeforeRetiring) {
+  ConnectionServer server(/*max_frame_bytes=*/64);
+  server.open();
+  const int quiet = connect_loopback(server.port());
+  const int chatty = connect_loopback(server.port());
+  const int rude = connect_loopback(server.port());
+
+  std::vector<std::string> frames;
+  const ConnectionServer::FrameHandler on_frame =
+      [&](const ConnectionServer::Peer&, const std::string& payload) {
+        frames.push_back(payload);
+      };
+  const ConnectionServer::CloseHandler no_close =
+      [](const ConnectionServer::Peer&, FrameError error) {
+        ADD_FAILURE() << "unexpected close: " << to_string(error);
+      };
+  std::size_t accepted = 0;
+  for (int i = 0; i < 200 && accepted < 3; ++i) {
+    accepted += server.poll(10, on_frame, no_close).accepted;
+  }
+  ASSERT_EQ(accepted, 3u);
+  EXPECT_EQ(server.size(), 3u);
+
+  // Only the peer with input is drained; the two idle ones are not touched.
+  ASSERT_TRUE(write_frame(chatty, "{\"a\":1}"));
+  PollRound round = server.poll(1000, on_frame, no_close);
+  EXPECT_EQ(round.ready, 1u);
+  EXPECT_EQ(round.retired, 0u);
+  EXPECT_EQ(frames, std::vector<std::string>{"{\"a\":1}"});
+
+  // An oversized prefix is reported while the peer can still be answered,
+  // and only then retired.
+  ASSERT_TRUE(write_frame(rude, std::string(100, 'x')));
+  ConnectionServer::Peer reported;
+  round = server.poll(
+      1000, on_frame,
+      [&](const ConnectionServer::Peer& peer, FrameError error) {
+        EXPECT_EQ(error, FrameError::kOversized);
+        EXPECT_EQ(peer->reader().oversized_length(), 100u);
+        EXPECT_TRUE(peer->alive());
+        EXPECT_EQ(server.size(), 3u);
+        EXPECT_TRUE(peer->send("{\"t\":\"too_large\"}"));
+        reported = peer;
+      });
+  EXPECT_EQ(round.ready, 1u);
+  EXPECT_EQ(round.retired, 1u);
+  EXPECT_EQ(server.size(), 2u);
+  ASSERT_NE(reported, nullptr);
+  EXPECT_FALSE(reported->alive());
+  EXPECT_FALSE(reported->send("{\"late\":1}"));  // retired: dropped
+  reported.reset();  // the last owner closes the fd
+  EXPECT_EQ(read_frame(rude).value_or(""), "{\"t\":\"too_large\"}");
+  EXPECT_FALSE(read_frame(rude).has_value());
+
+  // An orderly close is reported as kClosed, then retired the same way.
+  ::close(quiet);
+  round = server.poll(1000, on_frame,
+                      [](const ConnectionServer::Peer& peer, FrameError error) {
+                        EXPECT_EQ(error, FrameError::kClosed);
+                        EXPECT_TRUE(peer->alive());
+                      });
+  EXPECT_EQ(round.retired, 1u);
+  EXPECT_EQ(server.size(), 1u);
+
+  server.close();
+  EXPECT_FALSE(server.listening());
+  EXPECT_EQ(server.size(), 0u);
+  ::close(chatty);
+  ::close(rude);
+}
+
+TEST(NetFrame, ConnectionSendsFromManyThreadsStayWholeFrames) {
+  Listener listener;
+  listener.open();
+  const int client = connect_loopback(listener.port());
+  const int server_fd = accept_soon(listener);
+  ASSERT_GE(server_fd, 0);
+  Connection connection(server_fd, kMaxFramePayload);
+
+  // Concurrent senders must never interleave bytes of two frames.
+  constexpr int kThreads = 4;
+  constexpr int kFramesEach = 50;
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&connection, t] {
+      const std::string payload(1000 + static_cast<std::size_t>(t),
+                                static_cast<char>('a' + t));
+      for (int i = 0; i < kFramesEach; ++i) EXPECT_TRUE(connection.send(payload));
+    });
+  }
+  for (int i = 0; i < kThreads * kFramesEach; ++i) {
+    const std::optional<std::string> frame = read_frame(client);
+    ASSERT_TRUE(frame.has_value());
+    const int t = static_cast<int>(frame->size()) - 1000;
+    ASSERT_TRUE(t >= 0 && t < kThreads) << frame->size();
+    EXPECT_EQ(*frame, std::string(frame->size(), static_cast<char>('a' + t)));
+  }
+  for (std::thread& sender : senders) sender.join();
+  ::close(client);
+}
+
 TEST(NetWire, SeedsSurviveTheHexEncoding) {
   for (const std::uint64_t seed :
        {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0},
@@ -322,6 +430,97 @@ TEST(NetWire, ResultFramesRoundTrip) {
   EXPECT_DOUBLE_EQ(back.sim_minutes, result.sim_minutes);
   EXPECT_EQ(back.attempts, result.attempts);
   EXPECT_EQ(back.cause, result.cause);
+}
+
+TEST(NetWire, DecodeU64TakesOnlyOneToSixteenHexDigits) {
+  EXPECT_EQ(decode_u64("1f"), 0x1Fu);
+  EXPECT_EQ(decode_u64("DEADbeef"), 0xDEADBEEFu);
+  EXPECT_EQ(decode_u64("ffffffffffffffff"), ~std::uint64_t{0});
+  // strtoull would accept each of these; none is 1-16 bare hex digits.
+  for (const char* bad : {"-1", " 1f", "+1f", "0x1f", "", "1f ", "g",
+                          "10000000000000000"}) {
+    EXPECT_THROW(decode_u64(bad), util::ParseError) << '"' << bad << '"';
+  }
+}
+
+util::Json parsed(const util::Json& message) {
+  return util::Json::parse(message.dump());
+}
+
+std::size_t decode_hello(const util::Json& message) {
+  expect_type(message, kMsgHello);
+  return hello_token(message);
+}
+
+TaskSpec decode_task_frame(const util::Json& message) {
+  expect_type(message, kMsgTask);
+  return decode_task(message);
+}
+
+std::pair<std::size_t, WorkResult> decode_result_frame(const util::Json& message) {
+  expect_type(message, kMsgResult);
+  return {result_id(message), decode_result(message)};
+}
+
+TaskSpec sample_task() {
+  TaskSpec spec;
+  spec.id = 17;
+  spec.genome = {0.25, -1.5, 3.0};
+  spec.eval_seed = 0xDEADBEEFCAFEF00Dull;
+  spec.uuid = "0123456789abcdef0123456789abcdef";
+  return spec;
+}
+
+WorkResult sample_result() {
+  WorkResult result;
+  result.fitness = {0.01, 0.05};
+  result.sim_minutes = 42.5;
+  result.cause = FailureCause::kNone;
+  result.attempts = 2;
+  return result;
+}
+
+TEST(NetWire, FuzzHello) {
+  const util::Json hello = encode_hello(3, 4711);
+  EXPECT_EQ(decode_hello(parsed(hello)), 3u);
+  const std::string wire = hello.dump();
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_hello), wire.size());
+  const test_support::FlipTally tally =
+      test_support::fuzz_bit_flips(wire, decode_hello, [](std::size_t) {});
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_EQ(tally.rejected + tally.survived, wire.size() * 3);
+  test_support::fuzz_integer_fields(hello, {{"token"}}, decode_hello);
+}
+
+TEST(NetWire, FuzzTask) {
+  const util::Json task = encode_task(sample_task(), 0.0);
+  const std::string wire = task.dump();
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_task_frame), wire.size());
+  // A flip inside a digit or the uuid can survive; the genome keeps its
+  // length and stays finite.
+  const test_support::FlipTally tally = test_support::fuzz_bit_flips(
+      wire, decode_task_frame, [](const TaskSpec& spec) {
+        ASSERT_EQ(spec.genome.size(), 3u);
+        for (const double gene : spec.genome) EXPECT_TRUE(std::isfinite(gene));
+      });
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_EQ(tally.rejected + tally.survived, wire.size() * 3);
+  test_support::fuzz_integer_fields(task, {{"id"}}, decode_task_frame);
+}
+
+TEST(NetWire, FuzzResult) {
+  const util::Json result = encode_result(9, sample_result());
+  const std::string wire = result.dump();
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_result_frame), wire.size());
+  const test_support::FlipTally tally = test_support::fuzz_bit_flips(
+      wire, decode_result_frame, [](const std::pair<std::size_t, WorkResult>& r) {
+        EXPECT_EQ(r.second.fitness.size(), 2u);
+        EXPECT_TRUE(std::isfinite(r.second.sim_minutes));
+      });
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_EQ(tally.rejected + tally.survived, wire.size() * 3);
+  test_support::fuzz_integer_fields(result, {{"id"}, {"attempts"}},
+                                    decode_result_frame);
 }
 
 }  // namespace

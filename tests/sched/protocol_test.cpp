@@ -1,8 +1,9 @@
 // sched protocol codec: round trips are exact (seeds survive as full 64-bit
 // values), validation guards every field that becomes a path component or an
-// engine parameter, and hostile input -- truncation, bit flips, structural
-// garbage -- always surfaces as a typed util error, never a crash or a
-// silently out-of-contract decode.
+// engine parameter, and hostile input -- truncation, bit flips, out-of-range
+// integers, structural garbage -- always surfaces as a typed util error,
+// never a crash or a silently out-of-contract decode.  The fuzz passes run
+// through tests/support/codec_fuzz.hpp.
 #include "sched/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 
 #include "util/error.hpp"
 #include "util/json.hpp"
+
+#include "codec_fuzz.hpp"
 
 namespace dpho::sched {
 namespace {
@@ -233,43 +236,22 @@ TEST(SchedProtocol, DecoderRejectsStructuralGarbage) {
 TEST(SchedProtocol, FuzzTruncationNeverCrashes) {
   const std::string wire =
       encode_submit_request(SubmitRequest{1, sample_spec()}).dump();
-  std::size_t rejected = 0;
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    try {
-      decode_submit_request(util::Json::parse(wire.substr(0, cut)));
-      // A strict prefix of a JSON document never parses as a complete one.
-      ADD_FAILURE() << "truncation at " << cut << " decoded successfully";
-    } catch (const util::Error&) {
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(rejected, wire.size());
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_submit_request),
+            wire.size());
 }
 
 TEST(SchedProtocol, FuzzBitFlipsAreRejectedOrStayInContract) {
   const std::string wire =
       encode_submit_request(SubmitRequest{1, sample_spec()}).dump();
-  std::size_t rejected = 0;
-  std::size_t survived = 0;
-  for (std::size_t pos = 0; pos < wire.size(); ++pos) {
-    for (const int bit : {0, 3, 6}) {
-      std::string mutated = wire;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
-      try {
-        const SubmitRequest request =
-            decode_submit_request(util::Json::parse(mutated));
-        // A flip can land in a digit or name character and stay legal; the
-        // decoder's invariants must hold on anything it accepts.
+  // A flip can land in a digit or name character and stay legal; the
+  // decoder's invariants must hold on anything it accepts.
+  const test_support::FlipTally tally = test_support::fuzz_bit_flips(
+      wire, decode_submit_request, [](const SubmitRequest& request) {
         EXPECT_NO_THROW(validate_run_spec(request.spec));
-        ++survived;
-      } catch (const util::Error&) {
-        ++rejected;
-      }
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  // Sanity: the loop exercised every byte.
-  EXPECT_EQ(rejected + survived, wire.size() * 3);
+      });
+  EXPECT_GT(tally.rejected, 0u);
+  // Sanity: the pass exercised every byte.
+  EXPECT_EQ(tally.rejected + tally.survived, wire.size() * 3);
 }
 
 TEST(SchedProtocol, ReplyFuzzTruncationNeverCrashes) {
@@ -278,16 +260,45 @@ TEST(SchedProtocol, ReplyFuzzTruncationNeverCrashes) {
   reply.body = util::Json();
   reply.body["run"] = run_status_to_json(sample_status());
   const std::string wire = encode_result_reply(reply).dump();
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    EXPECT_THROW(decode_result_reply(util::Json::parse(wire.substr(0, cut))),
-                 util::Error);
-  }
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_result_reply),
+            wire.size());
   const std::string error_wire =
       encode_error(ErrorReply{3, ErrorCode::kUnknownRun, "gone"}).dump();
-  for (std::size_t cut = 0; cut < error_wire.size(); ++cut) {
-    EXPECT_THROW(decode_error(util::Json::parse(error_wire.substr(0, cut))),
-                 util::Error);
-  }
+  EXPECT_EQ(test_support::fuzz_truncation(error_wire, decode_error),
+            error_wire.size());
+}
+
+TEST(SchedProtocol, FuzzIntegerFieldsFailLoudly) {
+  // 1e30, -1 and 2.5 in any integer field are typed errors, never a cast.
+  test_support::fuzz_integer_fields(encode_list_request(ListRequest{6}),
+                                    {{"id"}}, decode_list_request);
+  test_support::fuzz_integer_fields(
+      encode_submit_request(SubmitRequest{1, sample_spec()}),
+      {{"id"},
+       {"spec", "population_size"},
+       {"spec", "num_workers"},
+       {"spec", "total_evaluations"},
+       {"spec", "weight"},
+       {"spec", "max_in_flight"},
+       {"spec", "checkpoint_every"}},
+      decode_submit_request);
+  test_support::fuzz_integer_fields(
+      encode_status_request(StatusRequest{7, "a", false}), {{"id"}},
+      decode_status_request);
+  test_support::fuzz_integer_fields(encode_cancel_request(CancelRequest{8, "a"}),
+                                    {{"id"}}, decode_cancel_request);
+  test_support::fuzz_integer_fields(
+      run_status_to_json(sample_status()),
+      {{"completions"}, {"births"}, {"budget"}, {"queued"}, {"outstanding"}},
+      run_status_from_json);
+  ResultReply reply;
+  reply.id = 5;
+  reply.body = util::Json();
+  test_support::fuzz_integer_fields(encode_result_reply(reply), {{"id"}},
+                                    decode_result_reply);
+  test_support::fuzz_integer_fields(
+      encode_error(ErrorReply{3, ErrorCode::kUnknownRun, "gone"}), {{"id"}},
+      decode_error);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // serve protocol codec: round trips are bit-exact, and hostile input --
-// truncation, bit flips, structural garbage -- always surfaces as a typed
-// util error, never a crash or a silently wrong decode.
+// truncation, bit flips, out-of-range integers, structural garbage -- always
+// surfaces as a typed util error, never a crash or a silently wrong decode.
+// The fuzz passes run through tests/support/codec_fuzz.hpp.
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "util/rng.hpp"
 
 #include "../dp/frame_harness.hpp"
+#include "codec_fuzz.hpp"
 
 namespace dpho::serve {
 namespace {
@@ -171,45 +173,23 @@ TEST(ServeProtocol, DecoderRejectsStructuralGarbage) {
 
 TEST(ServeProtocol, FuzzTruncationNeverCrashes) {
   const std::string wire = encode_eval_request(sample_request()).dump();
-  std::size_t rejected = 0;
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    try {
-      decode_eval_request(util::Json::parse(wire.substr(0, cut)));
-      // A strict prefix of a JSON document never parses as a complete one.
-      ADD_FAILURE() << "truncation at " << cut << " decoded successfully";
-    } catch (const util::Error&) {
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(rejected, wire.size());
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_eval_request), wire.size());
 }
 
 TEST(ServeProtocol, FuzzBitFlipsAreRejectedOrHarmless) {
   const std::string wire = encode_eval_request(sample_request()).dump();
-  std::size_t rejected = 0;
-  std::size_t survived = 0;
-  for (std::size_t pos = 0; pos < wire.size(); ++pos) {
-    for (const int bit : {0, 3, 6}) {
-      std::string mutated = wire;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
-      try {
-        const EvalRequest request =
-            decode_eval_request(util::Json::parse(mutated));
-        // A flip can land in a string or digit and stay in-contract; the
-        // decode must still uphold its invariants.
+  // A flip can land in a string or digit and stay in-contract; the decode
+  // must still uphold its invariants.
+  const test_support::FlipTally tally = test_support::fuzz_bit_flips(
+      wire, decode_eval_request, [](const EvalRequest& request) {
         for (const md::Frame& frame : request.frames) {
           EXPECT_GT(frame.box_length, 0.0);
           EXPECT_FALSE(frame.positions.empty());
         }
-        ++survived;
-      } catch (const util::Error&) {
-        ++rejected;
-      }
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  // Sanity: the loop exercised every byte.
-  EXPECT_EQ(rejected + survived, wire.size() * 3);
+      });
+  EXPECT_GT(tally.rejected, 0u);
+  // Sanity: the pass exercised every byte.
+  EXPECT_EQ(tally.rejected + tally.survived, wire.size() * 3);
 }
 
 TEST(ServeProtocol, ReplyFuzzTruncationNeverCrashes) {
@@ -219,10 +199,26 @@ TEST(ServeProtocol, ReplyFuzzTruncationNeverCrashes) {
   reply.energies = {-1.5, 2.25};
   reply.forces = {{1, 2, 3}, {4, 5, 6}};
   const std::string wire = encode_eval_reply(reply).dump();
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    EXPECT_THROW(decode_eval_reply(util::Json::parse(wire.substr(0, cut))),
-                 util::Error);
-  }
+  EXPECT_EQ(test_support::fuzz_truncation(wire, decode_eval_reply), wire.size());
+}
+
+TEST(ServeProtocol, FuzzIntegerFieldsFailLoudly) {
+  // 1e30, -1 and 2.5 in any integer field are typed errors, never a cast.
+  test_support::fuzz_integer_fields(encode_eval_request(sample_request()),
+                                    {{"id"}}, decode_eval_request);
+  EvalReply reply;
+  reply.id = 5;
+  reply.model = "m0";
+  reply.energies = {-1.5};
+  test_support::fuzz_integer_fields(encode_eval_reply(reply), {{"id"}},
+                                    decode_eval_reply);
+  test_support::fuzz_integer_fields(
+      encode_error(ErrorReply{3, ErrorCode::kOverloaded, "busy"}), {{"id"}},
+      decode_error);
+  const std::vector<CatalogModel> models = {{"m0", 0, 8, "spec", {}}};
+  test_support::fuzz_integer_fields(encode_catalog_reply(1, models),
+                                    {{"models", "0", "rank"}, {"models", "0", "atoms"}},
+                                    decode_catalog_reply);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// Shared fixture helpers for the dp_serve test suites: a tiny model archive
-// plus blocking client-side request/reply helpers over loopback TCP.
+// Shared fixture helpers for the dp_serve test suites: a tiny model archive.
+// Client round trips go through hpc::net::exchange.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "dp/archive.hpp"
-#include "hpc/net/frame.hpp"
+#include "hpc/net/wire.hpp"
 #include "serve/protocol.hpp"
-#include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 #include "../dp/frame_harness.hpp"
@@ -35,18 +32,6 @@ inline dp::ModelArchive make_archive(const std::filesystem::path& dir,
                 i == 0 ? 0 : 1);
   }
   return archive;
-}
-
-/// Blocking request/reply over the client's view of the connection.
-inline util::Json exchange(int fd, const util::Json& request) {
-  if (!hpc::net::write_frame(fd, request.dump())) {
-    throw util::IoError("serve harness: daemon closed the connection");
-  }
-  const std::optional<std::string> reply = hpc::net::read_frame(fd);
-  if (!reply) {
-    throw util::IoError("serve harness: connection lost awaiting the reply");
-  }
-  return util::Json::parse(*reply);
 }
 
 }  // namespace dpho::serve::test_harness

@@ -24,7 +24,7 @@
 namespace dpho::serve {
 namespace {
 
-using test_harness::exchange;
+using hpc::net::exchange;
 using test_harness::make_archive;
 
 bool bits_equal(double a, double b) {
@@ -248,6 +248,30 @@ TEST(Server, OverflowingCoordinateGetsBadRequest) {
   ASSERT_EQ(message_type(error_wire), kMsgError);
   EXPECT_EQ(decode_error(error_wire).code, ErrorCode::kBadRequest);
 
+  const EvalRequest request = make_request(4, "m0", 6, 1);
+  EXPECT_TRUE(reply_matches_direct(
+      archive, request, exchange(client.fd, encode_eval_request(request))));
+  server.stop();
+}
+
+TEST(Server, OutOfRangeIdGetsBadRequestWithIdZero) {
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+  ClientFd client(server.port());
+
+  // An id that fails the integer-field check is never cast: the refusal is
+  // typed and carries id 0, and the connection keeps serving.
+  for (const double bad : {1e30, -1.0, 2.5}) {
+    util::Json message = encode_eval_request(make_request(3, "m0", 5, 1));
+    message["id"] = bad;
+    const util::Json wire = exchange(client.fd, message);
+    ASSERT_EQ(message_type(wire), kMsgError) << bad;
+    const ErrorReply error = decode_error(wire);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest) << bad;
+    EXPECT_EQ(error.id, 0u) << bad;
+  }
   const EvalRequest request = make_request(4, "m0", 6, 1);
   EXPECT_TRUE(reply_matches_direct(
       archive, request, exchange(client.fd, encode_eval_request(request))));

@@ -119,6 +119,23 @@ TEST(Json, AsIntRejectsFractions) {
   EXPECT_THROW(Json(42.5).as_int(), ValueError);
 }
 
+TEST(Json, IntegerAccessorsRejectValuesOutsideTheirRange) {
+  // Every cast they make is defined: out of range is a ValueError.
+  EXPECT_EQ(Json(-0x1p63).as_int(), INT64_MIN);
+  EXPECT_THROW(Json(0x1p63).as_int(), ValueError);
+  EXPECT_THROW(Json::parse("1e30").as_int(), ValueError);
+  EXPECT_THROW(Json::parse("-1e30").as_int(), ValueError);
+  EXPECT_THROW(Json(NAN).as_int(), ValueError);
+
+  EXPECT_EQ(Json(0.0).as_uint(), 0u);
+  EXPECT_EQ(Json(42.0).as_uint(), 42u);
+  EXPECT_EQ(Json(0x1p64 - 2048.0).as_uint(), 18446744073709549568u);
+  for (const double bad : {0x1p64, 1e30, -1.0, 2.5, -0.5, double(NAN)}) {
+    EXPECT_THROW(Json(bad).as_uint(), ValueError) << bad;
+  }
+  EXPECT_THROW(Json("7").as_uint(), ValueError);
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1]");
   EXPECT_THROW(j.as_bool(), ValueError);
