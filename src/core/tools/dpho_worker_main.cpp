@@ -43,12 +43,24 @@ int worker_main(int argc, char** argv) {
   args.add_flag("--port", "scheduler loopback port (required)");
   args.add_flag("--token", "worker slot index assigned by the scheduler");
   args.add_flag("--hang-on-task", "stop heartbeating and hang on this task id");
-  args.parse(argc, argv);
-  const auto port = static_cast<std::uint16_t>(args.get("--port", 0.0));
-  const auto token = static_cast<std::size_t>(args.get("--token", 0.0));
-  const double hang_on_task = args.get("--hang-on-task", -1.0);
-  if (port == 0) {
-    util::log_error() << "dpho_worker: --port is required";
+  std::int64_t port = 0;
+  std::int64_t token = 0;
+  std::int64_t hang_on_task = -1;
+  try {
+    args.parse(argc, argv);
+    port = args.get("--port", port);
+    token = args.get("--token", token);
+    hang_on_task = args.get("--hang-on-task", hang_on_task);
+  } catch (const util::ParseError& e) {
+    util::log_error() << "dpho_worker: " << e.what();
+    return 2;
+  }
+  if (port < 1 || port > 65535) {
+    util::log_error() << "dpho_worker: --port in [1, 65535] is required";
+    return 2;
+  }
+  if (token < 0) {
+    util::log_error() << "dpho_worker: --token must be >= 0, got " << token;
     return 2;
   }
   const double eval_sleep = [] {
@@ -57,9 +69,13 @@ int worker_main(int argc, char** argv) {
   }();
 
   // Results and heartbeats share the socket; Connection::send serializes them.
-  hpc::net::Connection link(hpc::net::connect_loopback(port),
-                            hpc::net::kMaxFramePayload);
-  if (!link.send(hpc::net::encode_hello(token, ::getpid()).dump())) return 1;
+  hpc::net::Connection link(
+      hpc::net::connect_loopback(static_cast<std::uint16_t>(port)),
+      hpc::net::kMaxFramePayload);
+  if (!link.send(hpc::net::encode_hello(static_cast<std::size_t>(token), ::getpid())
+                     .dump())) {
+    return 1;
+  }
 
   // The init frame configures the evaluator and the heartbeat cadence.
   const std::optional<std::string> init_frame = hpc::net::read_frame(link.fd());
@@ -97,8 +113,7 @@ int worker_main(int argc, char** argv) {
     if (type != hpc::net::kMsgTask) continue;
 
     const hpc::TaskSpec spec = hpc::net::decode_task(message);
-    if (hang_on_task >= 0.0 &&
-        spec.id == static_cast<std::size_t>(hang_on_task)) {
+    if (hang_on_task >= 0 && spec.id == static_cast<std::size_t>(hang_on_task)) {
       // Simulate a hung process: the evaluation thread is stuck AND the
       // heartbeat stops, so the scheduler's deadline (not this process)
       // must resolve the task.

@@ -1,7 +1,9 @@
 #include "dp/archive.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -53,14 +55,28 @@ ArchiveEntry entry_from_json(const util::Json& json) {
   if (!valid_id(entry.id)) {
     throw util::ValueError("archive: invalid model id '" + entry.id + "'");
   }
-  entry.rank = static_cast<int>(json.number_or("rank", 0.0));
+  // add() always writes <id>.json, so any other name (an absolute path, a
+  // "../" one) would only ever read outside the archive.
+  if (entry.file != entry.id + ".json") {
+    throw util::ValueError("archive: model '" + entry.id + "' has file '" +
+                           entry.file + "', not '" + entry.id + ".json'");
+  }
+  if (json.contains("rank")) {
+    const std::int64_t rank = json.at("rank").as_int();
+    if (rank < std::numeric_limits<int>::min() ||
+        rank > std::numeric_limits<int>::max()) {
+      throw util::ValueError("archive: model '" + entry.id + "' has rank " +
+                             std::to_string(rank));
+    }
+    entry.rank = static_cast<int>(rank);
+  }
   if (json.contains("objectives")) {
     for (const auto& [name, value] : json.at("objectives").as_object()) {
       entry.objectives.emplace_back(name, value.as_number());
     }
   }
   if (json.contains("spec")) entry.spec = ModelSpec::from_json(json.at("spec"));
-  entry.num_atoms = static_cast<std::size_t>(json.number_or("atoms", 0.0));
+  if (json.contains("atoms")) entry.num_atoms = json.at("atoms").as_uint();
   return entry;
 }
 
@@ -155,7 +171,8 @@ std::vector<std::string> ModelArchive::select(const std::string& selector) const
   if (expr == "all" || expr.empty()) {
     for (const ArchiveEntry& entry : entries_) ids.push_back(entry.id);
   } else if (expr.rfind("rank=", 0) == 0) {
-    const int rank = static_cast<int>(parse_selector_number(expr.substr(5)));
+    // Compared as a double, which holds every int exactly: no cast of user input.
+    const double rank = parse_selector_number(expr.substr(5));
     for (const ArchiveEntry& entry : entries_) {
       if (entry.rank == rank) ids.push_back(entry.id);
     }
@@ -220,7 +237,7 @@ void ModelArchive::add(const std::string& id, const DeepPotModel& model,
   entry.objectives = std::move(objectives);
   entry.spec = model.spec();
   entry.num_atoms = model.num_atoms();
-  util::atomic_write_file(dir_ / entry.file, model.save().dump(2) + "\n");
+  model.save_file(dir_ / entry.file);
   entries_.push_back(std::move(entry));
   write_catalog();
 }

@@ -4,15 +4,17 @@
 // pick some of them up later, by identity ("model m3"), by position ("the
 // second front member"), or by objective quality ("every model with force
 // RMSE under 0.2").  ModelArchive is that catalog: a directory holding one
-// model.json checkpoint per model plus an archive.json index
+// model artifact per model (an <id>.json header beside an <id>.params blob,
+// DeepPotModel::save_file) plus an archive.json index
 //
 //   {"schema": "dpho.archive.v1",
-//    "models": [{"id": ..., "file": ..., "rank": ...,
+//    "models": [{"id": ..., "file": "<id>.json", "rank": ...,
 //                "objectives": {...}, "atoms": ..., "spec": {...}}, ...]}
 //
 // The index stores each model's ModelSpec and objectives so selection never
-// has to open checkpoints; the checkpoint file stays the authoritative source
-// of weights.  Writers append through add() (atomic catalog rewrite, so a
+// has to open a model; the artifact stays the authoritative source of
+// weights.  Older archives whose <id>.json holds the parameters inline still
+// load.  Writers append through add() (atomic catalog rewrite, so a
 // crashed writer leaves the previous catalog intact); dp_train --archive and
 // the serve tests both write through this API, and dp_serve reads through it.
 #pragma once
@@ -31,7 +33,7 @@ namespace dpho::dp {
 /// One catalog row.
 struct ArchiveEntry {
   std::string id;
-  std::string file;  // checkpoint path relative to the archive directory
+  std::string file;  // "<id>.json", the artifact header in the archive directory
   int rank = 0;      // Pareto rank (0 = non-dominated front)
   std::vector<std::pair<std::string, double>> objectives;  // insertion order
   ModelSpec spec;
@@ -51,7 +53,8 @@ class ModelArchive {
   static ModelArchive create(const std::filesystem::path& dir);
 
   /// Opens an existing catalog; throws IoError when archive.json is missing,
-  /// ParseError/ValueError when it is malformed.
+  /// ParseError/ValueError when it is malformed or a row's file is not
+  /// "<id>.json".
   static ModelArchive open(const std::filesystem::path& dir);
 
   const std::filesystem::path& dir() const { return dir_; }
@@ -72,12 +75,12 @@ class ModelArchive {
   /// selection is empty.
   std::vector<std::string> select(const std::string& selector) const;
 
-  /// Loads the checkpoint behind `id` as an owning Potential.
+  /// Loads the model behind `id` as an owning Potential.
   Potential load(const std::string& id) const;
 
-  /// Stores `model` as <id>.json and appends a catalog row; the catalog file
-  /// is rewritten atomically.  The id must be unique within the archive and
-  /// match [A-Za-z0-9_.-]+.
+  /// Stores `model` as <id>.json and <id>.params and appends a catalog row;
+  /// the catalog file is rewritten atomically.  The id must be unique within
+  /// the archive and match [A-Za-z0-9_.-]+.
   void add(const std::string& id, const DeepPotModel& model,
            std::vector<std::pair<std::string, double>> objectives, int rank = 0);
 

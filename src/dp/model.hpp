@@ -17,13 +17,18 @@
 // of like atoms, and smooth as neighbors enter/leave the cutoff sphere; the
 // test-suite verifies each of those properties.
 //
-// This class holds the architecture, the parameters and their serialization.
-// Evaluation and differentiation live in one place, the analytic kernels:
+// This class holds the architecture, the parameters and their serialization
+// as a model artifact: a small JSON header (save()) beside a raw float64
+// parameter blob (DESIGN.md section 12).  Evaluation and differentiation
+// live in one place, the analytic kernels:
 // dp::Potential / dp::FastGraph (dp/potential.hpp, dp/fast_graph.hpp) for
 // frames and training, dp::MdSession (dp/md_session.hpp) for MD.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <span>
 #include <vector>
 
 #include "dp/config.hpp"
@@ -38,7 +43,8 @@ namespace dpho::dp {
 /// The trainable potential.
 class DeepPotModel {
  public:
-  /// `types` fixes the atom ordering the model is trained on;
+  /// `types` fixes the atom ordering the model is trained on (each entry a
+  /// species below md::kNumSpecies, else util::ValueError naming the index);
   /// `energy_bias_per_atom` centres predictions on the dataset mean.
   DeepPotModel(const ModelSpec& spec, std::vector<md::Species> types,
                double energy_bias_per_atom, std::uint64_t seed);
@@ -59,11 +65,32 @@ class DeepPotModel {
   /// box length); throws util::ValueError when the atom count does not match.
   md::NeighborList build_topology(const md::Frame& frame) const;
 
-  /// Serialization (the dp_train tool writes a model checkpoint).  The
-  /// checkpoint stores the architecture as a "spec" block; load() also
-  /// accepts the legacy "config" block (a full TrainInput document).
+  /// The model artifact: a header at `<stem>.json` and, at blob_path() of
+  /// it, the raw little-endian float64 parameters in gather_params order.
+  /// The header holds "format" (kFormat), "spec", "types",
+  /// "energy_bias_per_atom", "num_params", "byte_order" ("little") and the
+  /// blob's "checksum" (16 hex digits).
+  static constexpr const char* kFormat = "dpho.model.v2";
+  static std::filesystem::path blob_path(const std::filesystem::path& header);
+
+  /// The artifact header for the current parameters.
   util::Json save() const;
-  static DeepPotModel load(const util::Json& json);
+  /// The one writer (dp_train's model.json, ModelArchive::add): the blob
+  /// first, then the header, each through util::atomic_write_file, so a kill
+  /// between the two leaves no header or an old one whose checksum fails.
+  /// Non-finite parameters are written as they are.
+  void save_file(const std::filesystem::path& header) const;
+
+  /// The one decoder, from a header and its blob's bytes.  Throws
+  /// util::ValueError for an unknown format or byte order, a num_params that
+  /// is not a uint or not the spec's count, a blob whose size is not
+  /// 8 * num_params, a checksum mismatch, a non-finite parameter or a type
+  /// outside [0, md::kNumSpecies); util::ParseError for a malformed checksum.
+  static DeepPotModel load(const util::Json& header, std::span<const std::byte> blob);
+  /// Reads a header and the blob beside it (util::IoError when either is
+  /// missing).  A legacy checkpoint -- an inline "params" array and no
+  /// "format", with a "spec" or a legacy "config" block -- loads as before.
+  static DeepPotModel load_file(const std::filesystem::path& header);
 
   // -- read-only internals for the analytic kernels (dp/fast_graph.hpp) --
   /// Flat index of the embedding net serving a (center, neighbor) pair.
@@ -79,6 +106,11 @@ class DeepPotModel {
   double energy_bias_per_atom() const { return energy_bias_per_atom_; }
 
  private:
+  /// The model a header or legacy document describes, before its parameters.
+  static DeepPotModel unfilled(const util::Json& document);
+  static DeepPotModel load_inline(const util::Json& document);
+  util::Json header(std::span<const double> params) const;
+
   ModelSpec spec_;
   std::vector<md::Species> types_;
   double energy_bias_per_atom_ = 0.0;

@@ -2,7 +2,6 @@
 
 #include "hpc/parallel.hpp"
 #include "util/error.hpp"
-#include "util/fs.hpp"
 
 namespace dpho::dp {
 
@@ -29,12 +28,8 @@ Potential Potential::borrow(const DeepPotModel& model) {
       std::shared_ptr<const DeepPotModel>(), &model));
 }
 
-Potential Potential::from_checkpoint(const util::Json& checkpoint) {
-  return Potential(DeepPotModel::load(checkpoint));
-}
-
 Potential Potential::load_file(const std::string& path) {
-  return from_checkpoint(util::Json::parse(util::read_file(path)));
+  return Potential(DeepPotModel::load_file(path));
 }
 
 md::ForceEnergy Potential::evaluate(const md::Frame& frame) const {

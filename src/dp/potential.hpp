@@ -1,6 +1,6 @@
 // The one evaluation entry point for a trained DeepPot-SE potential.
 //
-// Load a model (from a checkpoint document, a file, or an HPO run archive via
+// Load a model (from a model artifact file, or an HPO run archive via
 // dp::ModelArchive) and call evaluate(): a thin call into the analytic
 // primal path (neighbor list -> dp::FrameGeometry -> dp::FastGraph forward +
 // reverse, no gradient buffers), with per-thread geometry/workspace arenas so
@@ -43,8 +43,7 @@ class Potential {
   /// Wraps a model owned elsewhere; `model` must outlive the Potential.
   static Potential borrow(const DeepPotModel& model);
 
-  /// A model.json checkpoint document (DeepPotModel::save shape).
-  static Potential from_checkpoint(const util::Json& checkpoint);
+  /// A model artifact header path (DeepPotModel::load_file).
   static Potential load_file(const std::string& path);
 
   const DeepPotModel& model() const { return *model_; }

@@ -17,7 +17,9 @@
 // --archive appends the trained model (with its validation RMSEs as
 // objectives) to a dp::ModelArchive catalog so dp_serve can pick it up;
 // --model-id names the catalog row (default "model").
-// Outputs (in --out, default "."): lcurve.out, model.json.
+// Outputs (in --out, default "."): lcurve.out and the model artifact,
+// model.json (a small header) beside model.params (the raw float64
+// parameters), both written atomically, the blob first.
 // Exit codes: 0 success, 2 bad usage, 3 timeout, 4 diverged/failed training.
 #include <filesystem>
 #include <iostream>
@@ -35,7 +37,8 @@
 int main(int argc, char** argv) {
   using namespace dpho;
   util::ArgParser args;
-  args.add_flag("--out", "output directory for lcurve.out/model.json, default .")
+  args.add_flag("--out",
+                "output directory for lcurve.out/model.json/model.params, default .")
       .add_flag("--wall-limit", "hard wall-clock budget in seconds")
       .add_flag("--archive", "append the trained model to this dp::ModelArchive")
       .add_flag("--model-id", "catalog id for --archive, default 'model'")
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
     dp::Trainer trainer(config, train, validation, options);
     const dp::TrainResult result = trainer.train();
     result.lcurve.write(out_dir / "lcurve.out");
-    util::write_file(out_dir / "model.json", trainer.model().save().dump(2));
+    trainer.model().save_file(out_dir / "model.json");
     if (args.has("--archive")) {
       const std::filesystem::path archive_dir =
           args.get("--archive", std::string());

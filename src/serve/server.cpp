@@ -84,7 +84,12 @@ void Server::stop() {
     wait();
     return;
   }
-  running_.store(false, std::memory_order_release);
+  {
+    // Stored under the mutex: a worker between its predicate check and its
+    // block would otherwise miss the notify and sleep forever.
+    const std::scoped_lock lock(queue_mutex_);
+    running_.store(false, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   if (io_thread_.joinable()) io_thread_.join();
   for (std::thread& worker : workers_) {
@@ -92,13 +97,14 @@ void Server::stop() {
   }
   // Threads are gone; connection fds close as the last shared_ptrs drop.
   connections_.close();
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    queue_.clear();
-  }
   obs::events().emit("serve.stop",
                      {{"served", requests_served_.load(std::memory_order_relaxed)}});
-  stopped_.store(true, std::memory_order_release);
+  {
+    // Under the mutex for the same reason, against wait()'s predicate.
+    const std::scoped_lock lock(queue_mutex_);
+    queue_.clear();
+    stopped_.store(true, std::memory_order_release);
+  }
   drained_cv_.notify_all();
 }
 

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -65,10 +66,13 @@ double ArgParser::get(const std::string& name, double fallback) const {
 std::int64_t ArgParser::get(const std::string& name, std::int64_t fallback) const {
   const auto found = values_.find(name);
   if (found == values_.end()) return fallback;
+  const char* text = found->second.c_str();
   char* end = nullptr;
-  const long long value = std::strtoll(found->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    throw ParseError("flag " + name + " expects an integer, got " + found->second);
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    throw ParseError("flag " + name + " expects a 64-bit integer, got '" +
+                     found->second + "'");
   }
   return value;
 }

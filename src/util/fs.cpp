@@ -33,7 +33,7 @@ namespace {
 std::atomic<unsigned> g_atomic_write_counter{0};
 }
 
-void atomic_write_file(const fs::path& path, const std::string& contents) {
+void atomic_write_file(const fs::path& path, std::string_view contents) {
   if (path.has_parent_path()) fs::create_directories(path.parent_path());
   const fs::path dir = path.has_parent_path() ? path.parent_path() : fs::path(".");
   const fs::path tmp =

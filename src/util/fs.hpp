@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 namespace dpho::util {
 
@@ -18,7 +19,7 @@ void write_file(const std::filesystem::path& path, const std::string& contents);
 /// therefore observes either the previous file or the complete new one --
 /// never a torn intermediate -- which is the invariant the checkpoint layer
 /// depends on.  Leftover "*.tmp-*" siblings from a crashed writer are inert.
-void atomic_write_file(const std::filesystem::path& path, const std::string& contents);
+void atomic_write_file(const std::filesystem::path& path, std::string_view contents);
 
 /// Creates a fresh unique directory under `base` (created too, if missing).
 std::filesystem::path make_run_dir(const std::filesystem::path& base,

@@ -103,6 +103,41 @@ TEST(ModelArchive, OpenRejectsMissingOrMalformedCatalog) {
   EXPECT_THROW(ModelArchive::open(dir.path() / "torn"), util::ParseError);
 }
 
+TEST(ModelArchive, OpenRejectsAFileOtherThanTheIdsHeader) {
+  // add() always writes <id>.json; any other name could read outside the
+  // archive, and the blob beside it with it.
+  util::TempDir dir;
+  three_model_archive(dir.path() / "a");
+  const std::filesystem::path catalog_path = dir.path() / "a" / "archive.json";
+  const util::Json catalog = util::Json::parse(util::read_file(catalog_path));
+  for (const std::string file : {"../x.json", "/tmp/x.json", "m1.json", "m0.params"}) {
+    util::Json mutated = catalog;
+    mutated["models"].as_array().front()["file"] = file;
+    util::write_file(catalog_path, mutated.dump(2));
+    EXPECT_THROW(ModelArchive::open(dir.path() / "a"), util::ValueError) << file;
+  }
+}
+
+TEST(ModelArchive, OpenRejectsANonIntegerRankOrAtomCount) {
+  util::TempDir dir;
+  three_model_archive(dir.path() / "a");
+  const std::filesystem::path catalog_path = dir.path() / "a" / "archive.json";
+  const util::Json catalog = util::Json::parse(util::read_file(catalog_path));
+  for (const std::string field : {"rank", "atoms"}) {
+    for (const double bad : {1e30, 2.5, -1.0}) {
+      if (field == "rank" && bad == -1.0) continue;  // a negative int is a rank
+      util::Json mutated = catalog;
+      mutated["models"].as_array().front()[field] = bad;
+      util::write_file(catalog_path, mutated.dump(2));
+      EXPECT_THROW(ModelArchive::open(dir.path() / "a"), util::ValueError)
+          << field << " = " << bad;
+    }
+  }
+  util::write_file(catalog_path, catalog.dump(2));
+  EXPECT_THROW(ModelArchive::open(dir.path() / "a").select("rank=1e30"),
+               util::ValueError);
+}
+
 TEST(ModelArchive, CreateRefusesExistingCatalog) {
   util::TempDir dir;
   ModelArchive::create(dir.path() / "a");

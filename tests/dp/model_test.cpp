@@ -8,6 +8,8 @@
 #include "md/box.hpp"
 #include "md/simulation.hpp"
 #include "tape_oracle.hpp"
+#include "util/error.hpp"
+#include "util/fs.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp {
@@ -170,8 +172,23 @@ TEST(Model, SaveLoadRoundTripPreservesPredictions) {
   DeepPotModel model(tiny_config(), frame_types(), -2.0, 31);
   const md::Frame frame = sample_frame();
   const double before = oracle::energy(model, frame);
-  const DeepPotModel loaded = DeepPotModel::load(model.save());
+  util::TempDir dir;
+  model.save_file(dir.path() / "model.json");
+  const DeepPotModel loaded = DeepPotModel::load_file(dir.path() / "model.json");
   EXPECT_NEAR(oracle::energy(loaded, frame), before, 1e-12);
+}
+
+TEST(Model, TypeOutsideTheSpeciesThrows) {
+  std::vector<md::Species> types = frame_types();
+  types.back() = static_cast<md::Species>(md::kNumSpecies);
+  try {
+    const DeepPotModel model(tiny_config(), types, 0.0, 1);
+    ADD_FAILURE() << "an out-of-range type was accepted";
+  } catch (const util::ValueError& e) {
+    EXPECT_NE(std::string(e.what()).find("atom " + std::to_string(types.size() - 1)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Model, DifferentSeedsGiveDifferentInitialModels) {

@@ -8,6 +8,7 @@
 #include "dp/md_interface.hpp"
 #include "hpc/thread_pool.hpp"
 #include "util/error.hpp"
+#include "util/fs.hpp"
 #include "util/rng.hpp"
 
 #include "frame_harness.hpp"
@@ -64,7 +65,9 @@ TEST(Potential, CheckpointRoundTripIsExact) {
   util::Rng rng(32);
   const md::Frame frame = random_frame(rng);
   const md::ForceEnergy direct = direct_kernels(model, frame);
-  const Potential loaded = Potential::from_checkpoint(model.save());
+  util::TempDir dir;
+  model.save_file(dir.path() / "model.json");
+  const Potential loaded = Potential::load_file((dir.path() / "model.json").string());
   const md::ForceEnergy via = loaded.evaluate(frame);
   EXPECT_EQ(via.energy, direct.energy);
   for (std::size_t i = 0; i < via.forces.size(); ++i) {

@@ -44,7 +44,7 @@ class DpTestCli : public ::testing::Test {
     config.training.numb_steps = 5;
     dp::Trainer trainer(config, data.train, data.validation);
     trainer.train();
-    util::write_file(dir_->path() / "model.json", trainer.model().save().dump());
+    trainer.model().save_file(dir_->path() / "model.json");
   }
   static void TearDownTestSuite() {
     delete dir_;

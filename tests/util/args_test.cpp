@@ -83,6 +83,14 @@ TEST(Args, NonNumericValueThrows) {
   EXPECT_THROW(args2.get("--rate", 0.0), ParseError);
 }
 
+TEST(Args, IntegerOutsideInt64OrEmptyThrows) {
+  for (const char* bad : {"99999999999999999999", "-99999999999999999999", "", "1e30"}) {
+    ArgParser args = make_parser();
+    parse(args, {"--pop", bad});
+    EXPECT_THROW(args.get("--pop", std::int64_t{0}), ParseError) << "'" << bad << "'";
+  }
+}
+
 TEST(Args, UsageListsFlags) {
   const ArgParser args = make_parser();
   const std::string usage = args.usage("dpho_hpo");
