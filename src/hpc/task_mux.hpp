@@ -106,7 +106,7 @@ class TaskMux {
   std::size_t slot_stride() const { return config_.slot_stride; }
 
   /// The slot of every forward decision, in order -- the fairness witness the
-  /// property tests and bench_sched assert over.
+  /// property tests assert over.
   const std::vector<std::size_t>& forward_log() const { return forward_log_; }
 
  private:

@@ -11,28 +11,12 @@ VelocityVerlet::VelocityVerlet(double dt) : dt_(dt) {
   if (dt <= 0.0) throw util::ValueError("time step must be positive");
 }
 
-ForceEnergy VelocityVerlet::step(SystemState& state, const ForceProvider& forces,
-                                 const ForceEnergy& current) const {
-  const std::size_t n = state.size();
-  // Half-kick + drift.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double inv_mass = kForceToAccel / species_info(state.types[i]).mass_amu;
-    state.velocities[i] =
-        state.velocities[i] + current.forces[i] * (0.5 * dt_ * inv_mass);
-    state.positions[i] = state.positions[i] + state.velocities[i] * dt_;
-  }
-  // New forces, second half-kick.
-  ForceEnergy next = forces(state);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double inv_mass = kForceToAccel / species_info(state.types[i]).mass_amu;
-    state.velocities[i] = state.velocities[i] + next.forces[i] * (0.5 * dt_ * inv_mass);
-  }
-  return next;
-}
-
 double VelocityVerlet::step(SystemState& state, PotentialSession& session,
                             std::span<Vec3> forces) const {
   const std::size_t n = state.size();
+  if (forces.size() != n) {
+    throw util::ValueError("forces span size does not match atom count");
+  }
   // Half-kick + drift.
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_mass = kForceToAccel / species_info(state.types[i]).mass_amu;

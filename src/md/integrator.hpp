@@ -1,19 +1,14 @@
 // Time integration: velocity Verlet with optional thermostats.
 #pragma once
 
-#include <functional>
 #include <span>
 
-#include "md/potential.hpp"
 #include "md/system.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::md {
 
 class PotentialSession;
-
-/// Computes potential energy and forces for the current positions.
-using ForceProvider = std::function<ForceEnergy(const SystemState&)>;
 
 /// Thermostat selection for the MD driver.
 enum class Thermostat { kNone, kLangevin, kBerendsen };
@@ -26,14 +21,11 @@ class VelocityVerlet {
 
   double dt() const { return dt_; }
 
-  /// Advances one step in place given the force field; returns the potential
-  /// energy/forces evaluated at the *new* positions.
-  ForceEnergy step(SystemState& state, const ForceProvider& forces,
-                   const ForceEnergy& current) const;
-
   /// Allocation-free step through a persistent session: `forces` holds the
   /// forces at the current positions on entry and the forces at the new
-  /// positions on return.  Returns the new potential energy.
+  /// positions on return.  Returns the new potential energy.  Throws
+  /// ValueError, before the state changes, if `forces` does not hold one
+  /// entry per atom.
   double step(SystemState& state, PotentialSession& session,
               std::span<Vec3> forces) const;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 
@@ -115,17 +114,10 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
-bool env_disables_simd() {
-  const char* env = std::getenv("DPHO_SIMD");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-         std::strcmp(env, "scalar") == 0;
-}
-
 std::atomic<const Ops*> g_active{nullptr};
 
 const Ops* resolve_initial() {
-  if (avx2_ops() != nullptr && cpu_supports_avx2_fma() && !env_disables_simd()) {
+  if (avx2_ops() != nullptr && cpu_supports_avx2_fma()) {
     return avx2_ops();
   }
   return &kScalarOps;

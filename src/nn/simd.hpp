@@ -10,10 +10,10 @@
 //     compiled when DPHO_ENABLE_SIMD is ON, and
 //   * a portable scalar table of plain loops.
 //
-// Dispatch can be forced to scalar with the environment variable
-// DPHO_SIMD=off (read once at first use) or flipped at runtime with
-// set_enabled() -- which is how the SIMD parity tests and the
-// bench_model_kernels SIMD-on/off matrix drive both paths in one process.
+// Dispatch can be flipped at runtime with set_enabled() -- which is how the
+// SIMD parity tests and perfbench's SIMD-off runs drive both paths in one
+// process -- and the DPHO_ENABLE_SIMD=OFF build (the simd-off preset)
+// compiles the scalar table alone.
 //
 // Determinism: the AVX2 forward kernel splits dot products across vector
 // lanes, so its reduction order differs from scalar and results can differ

@@ -22,6 +22,7 @@
 #include "dp/model.hpp"
 #include "dp/potential.hpp"
 #include "frame_harness.hpp"
+#include "obs/metrics.hpp"
 #include "tape_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -161,6 +162,34 @@ TEST(FastGraphParityDetail, WorkspaceReuseAcrossFramesIsClean) {
 
   EXPECT_EQ(loss_fresh, loss_reused);
   EXPECT_EQ(grad_fresh, grad_reused);
+}
+
+TEST(FastGraphParityDetail, OneGradientRecordsOnePrimalAndOneTangentPass) {
+  // The dp.kernels.* metrics a training's metrics summary reports.
+  util::Rng rng(83);
+  const DeepPotModel model(small_config(nn::Activation::kTanh), random_types(rng), 0.0, 3);
+  const FrameGeometry geometry = geometry_of(model, random_frame(rng));
+  ASSERT_GT(geometry.size(), 0u);
+  const FastGraph fast(model);
+  FastWorkspace workspace;
+  std::vector<double> grad(model.num_params());
+  const std::vector<md::Vec3> forces_ref(kAtoms, md::Vec3{0.1, -0.2, 0.3});
+
+  obs::Histogram& primal = obs::metrics().histogram(
+      "dp.kernels.primal_seconds", obs::BucketLayout::timing_seconds());
+  obs::Histogram& tangent = obs::metrics().histogram(
+      "dp.kernels.tangent_seconds", obs::BucketLayout::timing_seconds());
+  const obs::Counter& frames = obs::metrics().counter("dp.kernels.frames_total");
+  const obs::Counter& pairs = obs::metrics().counter("dp.kernels.pairs_total");
+  const std::uint64_t primal_before = primal.snapshot().count;
+  const std::uint64_t tangent_before = tangent.snapshot().count;
+  const std::int64_t frames_before = frames.value();
+  const std::int64_t pairs_before = pairs.value();
+  fast.loss_and_grad(geometry, -3.0, forces_ref, LossWeights{0.2, 10.0}, workspace, grad);
+  EXPECT_EQ(primal.snapshot().count - primal_before, 1u);
+  EXPECT_EQ(tangent.snapshot().count - tangent_before, 1u);
+  EXPECT_EQ(frames.value() - frames_before, 1);
+  EXPECT_EQ(pairs.value() - pairs_before, static_cast<std::int64_t>(geometry.size()));
 }
 
 TEST(FastGraphParityDetail, FusedMultiFrameMatchesPerFrameCalls) {

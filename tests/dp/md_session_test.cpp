@@ -15,6 +15,7 @@
 #include "md/integrator.hpp"
 #include "md/system.hpp"
 #include "md/simulation.hpp"
+#include "obs/metrics.hpp"
 #include "support/alloc_hook.hpp"
 #include "util/error.hpp"
 
@@ -167,6 +168,41 @@ TEST_F(NnpSessionSuite, SessionVsFreshRebuildBitwise) {
   EXPECT_EQ(b.rebuilds, b.session_steps);
 }
 
+TEST_F(NnpSessionSuite, RecordsStepTimesStepsRebuildsAndLivePairs) {
+  // The md.session.* metrics a run's metrics summary reports: one timed step
+  // and one step count per compute, one count per rebuild, and every
+  // step's live pairs.
+  obs::Histogram& step_seconds = obs::metrics().histogram(
+      "md.session.step_seconds", obs::BucketLayout::timing_seconds());
+  const obs::Counter& steps = obs::metrics().counter("md.session.steps_total");
+  const obs::Counter& rebuilds = obs::metrics().counter("md.session.rebuilds_total");
+  const obs::Counter& pairs = obs::metrics().counter("md.session.pairs_total");
+  const std::uint64_t timed_before = step_seconds.snapshot().count;
+  const std::int64_t steps_before = steps.value();
+  const std::int64_t rebuilds_before = rebuilds.value();
+  const std::int64_t pairs_before = pairs.value();
+
+  md::SystemState state = initial_state();
+  md::SessionOptions options;
+  options.skin = 0.6;
+  auto session = potential_->make_md_session(options);
+  const md::VelocityVerlet integrator(0.5);
+  std::vector<md::Vec3> forces(state.size());
+  session->compute(state, forces);
+  std::size_t live_pairs = session->last_live_pairs();
+  for (int step = 0; step < 30; ++step) {
+    integrator.step(state, *session, forces);
+    live_pairs += session->last_live_pairs();
+  }
+  ASSERT_GT(session->neighbor_rebuilds(), 0u);
+  ASSERT_GT(live_pairs, 0u);
+  EXPECT_EQ(step_seconds.snapshot().count - timed_before, session->steps());
+  EXPECT_EQ(steps.value() - steps_before, static_cast<std::int64_t>(session->steps()));
+  EXPECT_EQ(rebuilds.value() - rebuilds_before,
+            static_cast<std::int64_t>(session->neighbor_rebuilds()));
+  EXPECT_EQ(pairs.value() - pairs_before, static_cast<std::int64_t>(live_pairs));
+}
+
 TEST_F(NnpSessionSuite, SteadyStateStepsAllocateNothing) {
   md::SystemState state = initial_state();
   hpc::ThreadPool pool(2);
@@ -252,6 +288,9 @@ TEST_F(NnpSessionSuite, RejectsWrongAtomCountAndBox) {
       md::SystemSpec::scaled_system(2).create_initial_state(100.0, rng);
   std::vector<md::Vec3> wrong_forces(wrong.size());
   EXPECT_THROW(session->compute(wrong, wrong_forces), util::ValueError);
+  // A fresh session checks the count against the model on its first call.
+  EXPECT_THROW(potential_->make_md_session()->compute(wrong, wrong_forces),
+               util::ValueError);
 
   md::SystemState resized = state;
   resized.box_length *= 1.5;

@@ -1,12 +1,16 @@
-#include "dp/md_interface.hpp"
-
+// NVE MD on a trained model through dp::MdSession: the end use the paper's
+// optimization serves.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "dp/md_session.hpp"
+#include "dp/potential.hpp"
 #include "dp/trainer.hpp"
+#include "md/integrator.hpp"
 #include "md/simulation.hpp"
-#include "util/error.hpp"
 
 namespace dpho::dp {
 namespace {
@@ -54,6 +58,22 @@ class NnpMdSuite : public ::testing::Test {
     return state;
   }
 
+  /// `steps` of NVE velocity Verlet on the learned surface; returns the
+  /// total energy (potential + kinetic) before the first and after each step.
+  static std::vector<double> run_nve(md::SystemState& state, std::size_t steps) {
+    const std::unique_ptr<MdSession> session =
+        Potential::borrow(*model_).make_md_session();
+    const md::VelocityVerlet integrator(0.5);  // fs
+    std::vector<md::Vec3> forces(state.size());
+    std::vector<double> total{session->compute(state, forces) +
+                              md::kinetic_energy(state)};
+    for (std::size_t step = 0; step < steps; ++step) {
+      total.push_back(integrator.step(state, *session, forces) +
+                      md::kinetic_energy(state));
+    }
+    return total;
+  }
+
   static md::LabelledData* data_;
   static DeepPotModel* model_;
 };
@@ -61,35 +81,12 @@ class NnpMdSuite : public ::testing::Test {
 md::LabelledData* NnpMdSuite::data_ = nullptr;
 DeepPotModel* NnpMdSuite::model_ = nullptr;
 
-TEST_F(NnpMdSuite, ProviderMatchesModelPredictions) {
-  const md::ForceProvider provider = make_force_provider(*model_);
-  md::SystemState state = initial_state();
-  const md::ForceEnergy fe = provider(state);
-  md::Frame frame;
-  frame.positions = state.positions;
-  frame.forces.resize(state.size());
-  frame.box_length = state.box_length;
-  // The provider runs through the chunked MdSession, which sums energies and
-  // force adjoints in a different (but fixed) order than the whole-frame
-  // FastGraph path -- agreement is to rounding, not bitwise.
-  const md::ForceEnergy ref = Potential::borrow(*model_).evaluate(frame);
-  const double scale = std::max(1.0, std::abs(ref.energy));
-  EXPECT_NEAR(fe.energy, ref.energy, 1e-9 * scale);
-  ASSERT_EQ(fe.forces.size(), ref.forces.size());
-  for (std::size_t i = 0; i < ref.forces.size(); ++i) {
-    for (std::size_t k = 0; k < 3; ++k) {
-      EXPECT_NEAR(fe.forces[i][k], ref.forces[i][k], 1e-9)
-          << "atom " << i << " component " << k;
-    }
-  }
-}
-
 TEST_F(NnpMdSuite, NveOnLearnedSurfaceConservesEnergy) {
   // Forces are exact analytic gradients of a smooth learned energy, so NVE
   // on the model conserves total energy to integrator error -- the paper's
   // force-consistency requirement for stable dynamics (section 3.2).
   md::SystemState state = initial_state(100.0);
-  const auto energies = run_nnp_md(*model_, state, 0.5, 200);
+  const std::vector<double> energies = run_nve(state, 200);
   ASSERT_EQ(energies.size(), 201u);
   double max_drift = 0.0;
   for (double e : energies) max_drift = std::max(max_drift, std::abs(e - energies[0]));
@@ -99,21 +96,13 @@ TEST_F(NnpMdSuite, NveOnLearnedSurfaceConservesEnergy) {
 
 TEST_F(NnpMdSuite, DynamicsStaysBounded) {
   md::SystemState state = initial_state(200.0);
-  run_nnp_md(*model_, state, 0.5, 150);
+  run_nve(state, 150);
   const md::Box box(state.box_length);
   for (const md::Vec3& r : state.positions) {
     const md::Vec3 wrapped = box.wrap(r);
     EXPECT_TRUE(std::isfinite(wrapped[0]));
   }
   EXPECT_LT(md::kinetic_temperature(state), 5000.0);  // no explosion
-}
-
-TEST_F(NnpMdSuite, AtomCountMismatchThrows) {
-  const md::ForceProvider provider = make_force_provider(*model_);
-  util::Rng rng(5);
-  md::SystemState wrong =
-      md::SystemSpec::scaled_system(2).create_initial_state(100.0, rng);
-  EXPECT_THROW(provider(wrong), util::ValueError);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
-#include "dp/md_interface.hpp"
+#include "dp/md_session.hpp"
 #include "hpc/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -144,8 +146,9 @@ TEST(Potential, RejectsNullModel) {
   EXPECT_THROW(Potential(std::shared_ptr<const DeepPotModel>()), util::ValueError);
 }
 
-TEST(Potential, ForceProviderSurvivesSourcePotential) {
-  md::ForceProvider provider = make_force_provider(Potential(tiny_model(71)));
+TEST(Potential, MdSessionSurvivesSourcePotential) {
+  // The session shares the model, so it outlives the Potential it came from.
+  const std::unique_ptr<MdSession> session = Potential(tiny_model(71)).make_md_session();
   md::SystemState state;
   util::Rng rng(72);
   const md::Frame frame = random_frame(rng);
@@ -153,7 +156,8 @@ TEST(Potential, ForceProviderSurvivesSourcePotential) {
   state.positions = frame.positions;
   state.velocities.assign(frame.positions.size(), md::Vec3{});
   state.box_length = frame.box_length;
-  EXPECT_NO_THROW(provider(state));
+  std::vector<md::Vec3> forces(state.size());
+  EXPECT_NO_THROW(session->compute(state, forces));
 }
 
 }  // namespace

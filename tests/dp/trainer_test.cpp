@@ -176,6 +176,16 @@ TEST_F(TrainerSuite, OneValidationPassPerLcurveRow) {
   EXPECT_EQ(bits(result.rmse_f_val), bits(last.rmse_f_val));
 }
 
+TEST_F(TrainerSuite, EachTrainCallCountsOneTraining) {
+  const obs::Counter& trainings = obs::metrics().counter("trainer.trainings_total");
+  const std::int64_t before = trainings.value();
+  Trainer trainer(tiny_config(2), data_->train, data_->validation);
+  trainer.train();
+  EXPECT_EQ(trainings.value() - before, 1);
+  trainer.train();
+  EXPECT_EQ(trainings.value() - before, 2);
+}
+
 TEST_F(TrainerSuite, ParallelLcurveBitIdenticalToSerial) {
   // The determinism contract of the data-parallel hot path: for a given seed
   // the lcurve is bit-identical at ANY thread count (fixed-order reduction).

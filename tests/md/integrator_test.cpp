@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "md/potential.hpp"
+#include "md/session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -12,18 +15,22 @@ namespace dpho::md {
 namespace {
 
 struct MiniSystem {
+  SystemSpec spec = SystemSpec::scaled_system(1);  // 10 atoms
   SystemState state;
-  ReferencePotential potential{3.9};
+  ReferenceSession session{ReferencePotential(0.45 * spec.box_length())};
+  std::vector<Vec3> forces;
 
   explicit MiniSystem(std::uint64_t seed, double temperature = 300.0) {
     util::Rng rng(seed);
-    const SystemSpec spec = SystemSpec::scaled_system(1);  // 10 atoms
     state = spec.create_initial_state(temperature, rng);
-    potential = ReferencePotential(0.45 * spec.box_length());
+    forces.resize(state.size());
   }
 
-  ForceProvider provider() {
-    return [this](const SystemState& s) { return potential.compute(s); };
+  /// Forces at the current positions; returns the potential energy.
+  double compute() { return session.compute(state, forces); }
+
+  double step(const VelocityVerlet& integrator) {
+    return integrator.step(state, session, forces);
   }
 };
 
@@ -35,13 +42,10 @@ TEST(VelocityVerlet, RejectsNonPositiveTimestep) {
 TEST(VelocityVerlet, ConservesEnergyInNve) {
   MiniSystem sys(21, 200.0);
   const VelocityVerlet integrator(0.5);  // fs
-  auto forces = sys.provider();
-  ForceEnergy current = forces(sys.state);
-  const double e0 = current.energy + kinetic_energy(sys.state);
+  const double e0 = sys.compute() + kinetic_energy(sys.state);
   double max_drift = 0.0;
   for (int step = 0; step < 400; ++step) {
-    current = integrator.step(sys.state, forces, current);
-    const double e = current.energy + kinetic_energy(sys.state);
+    const double e = sys.step(integrator) + kinetic_energy(sys.state);
     max_drift = std::max(max_drift, std::abs(e - e0));
   }
   // Shifted-force potential + Verlet: drift well below 1% of kinetic energy.
@@ -52,22 +56,35 @@ TEST(VelocityVerlet, ConservesEnergyInNve) {
 TEST(VelocityVerlet, TimeReversible) {
   MiniSystem sys(23, 150.0);
   const VelocityVerlet integrator(0.5);
-  auto forces = sys.provider();
   const SystemState initial = sys.state;
-  ForceEnergy current = forces(sys.state);
-  for (int step = 0; step < 50; ++step) {
-    current = integrator.step(sys.state, forces, current);
-  }
+  sys.compute();
+  for (int step = 0; step < 50; ++step) sys.step(integrator);
   // Reverse velocities and integrate back.
   for (auto& v : sys.state.velocities) v = v * -1.0;
-  current = forces(sys.state);
-  for (int step = 0; step < 50; ++step) {
-    current = integrator.step(sys.state, forces, current);
-  }
+  for (int step = 0; step < 50; ++step) sys.step(integrator);
   for (std::size_t i = 0; i < initial.size(); ++i) {
     for (int k = 0; k < 3; ++k) {
       EXPECT_NEAR(sys.state.positions[i][k], initial.positions[i][k], 1e-6);
     }
+  }
+}
+
+TEST(VelocityVerlet, RejectsAForceSpanOfTheWrongSizeBeforeMovingAnyAtom) {
+  // The half-kick reads one force per atom before the session sees the
+  // span, so a short span must be refused up front, not read past its end.
+  MiniSystem sys(41);
+  const VelocityVerlet integrator(0.5);
+  sys.compute();
+  const SystemState before = sys.state;
+  for (const std::size_t size : {sys.state.size() - 3, sys.state.size() + 1}) {
+    std::vector<Vec3> forces(size);
+    EXPECT_THROW(integrator.step(sys.state, sys.session, forces), util::ValueError)
+        << size;
+  }
+  EXPECT_EQ(sys.session.steps(), 1u);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(sys.state.positions[i].v, before.positions[i].v) << i;
+    EXPECT_EQ(sys.state.velocities[i].v, before.velocities[i].v) << i;
   }
 }
 
@@ -77,11 +94,10 @@ TEST(Langevin, RelaxesTowardTargetTemperature) {
   const VelocityVerlet integrator(1.0);
   util::Rng rng(30);
   LangevinThermostat thermostat(target, 0.05, rng.spawn(1));
-  auto forces = sys.provider();
-  ForceEnergy current = forces(sys.state);
+  sys.compute();
   std::vector<double> temps;
   for (int step = 0; step < 2000; ++step) {
-    current = integrator.step(sys.state, forces, current);
+    sys.step(integrator);
     thermostat.apply(sys.state, 1.0);
     if (step > 1000) temps.push_back(kinetic_temperature(sys.state));
   }

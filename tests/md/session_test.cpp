@@ -13,6 +13,7 @@
 #include "md/neighbor.hpp"
 #include "md/potential.hpp"
 #include "md/system.hpp"
+#include "obs/metrics.hpp"
 #include "support/alloc_hook.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -182,6 +183,25 @@ TEST(ReferenceSessionTest, SessionVsFreshRebuildBitwise) {
   // The skin must actually have saved rebuilds (and the fresh run must not).
   EXPECT_LT(a.rebuilds, a.session_steps);
   EXPECT_EQ(b.rebuilds, b.session_steps);
+}
+
+TEST(ReferenceSessionTest, RecordsStepTimesStepsAndRebuilds) {
+  // The md.session.* metrics a run's metrics summary reports: one timed step
+  // and one step count per compute, one count per neighbor rebuild.
+  obs::Histogram& step_seconds = obs::metrics().histogram(
+      "md.session.step_seconds", obs::BucketLayout::timing_seconds());
+  const obs::Counter& steps = obs::metrics().counter("md.session.steps_total");
+  const obs::Counter& rebuilds = obs::metrics().counter("md.session.rebuilds_total");
+  const std::uint64_t timed_before = step_seconds.snapshot().count;
+  const std::int64_t steps_before = steps.value();
+  const std::int64_t rebuilds_before = rebuilds.value();
+  SessionOptions skinned;
+  skinned.skin = 0.9;
+  const Trajectory run = run_trajectory(ReferencePotential(6.5), skinned, 26, 40);
+  ASSERT_GT(run.rebuilds, 0u);
+  EXPECT_EQ(step_seconds.snapshot().count - timed_before, run.session_steps);
+  EXPECT_EQ(steps.value() - steps_before, static_cast<std::int64_t>(run.session_steps));
+  EXPECT_EQ(rebuilds.value() - rebuilds_before, static_cast<std::int64_t>(run.rebuilds));
 }
 
 TEST(ReferenceSessionTest, ThreadCountParityBitwise) {

@@ -172,6 +172,44 @@ TEST(Server, ConcurrentMixedModelClientsStayByteExact) {
   server.stop();
 }
 
+TEST(Server, RepliesAccountForEveryRequestWhileAOneSlotCacheThrashes) {
+  // Requests alternate over three models and the cache holds one, so every
+  // request loads its model; serve.replies must still match serve.requests.
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 3);
+  const obs::Counter& requests = obs::metrics().counter("serve.requests");
+  const obs::Counter& replies = obs::metrics().counter("serve.replies");
+  constexpr std::int64_t kRequests = 6;
+  for (const std::size_t threads : {1u, 2u}) {
+    for (const std::size_t batch : {1u, 4u}) {
+      const std::int64_t requests_before = requests.value();
+      const std::int64_t replies_before = replies.value();
+      Server server({.archive_dir = dir.path() / "a",
+                     .cache_capacity = 1,
+                     .threads = threads});
+      server.start();
+      {
+        ClientFd client(server.port());
+        for (std::int64_t r = 0; r < kRequests; ++r) {
+          const EvalRequest request =
+              make_request(static_cast<std::uint64_t>(r + 1), "m" + std::to_string(r % 3),
+                           static_cast<std::uint64_t>(31 + r), batch);
+          EXPECT_TRUE(reply_matches_direct(
+              archive, request, exchange(client.fd, encode_eval_request(request))));
+        }
+      }
+      // The IO thread counts a request after queueing it, so read the
+      // counters once stop() has joined it.
+      server.stop();
+      EXPECT_EQ(server.cache().hit_rate(), 0.0);
+      EXPECT_EQ(requests.value() - requests_before, kRequests)
+          << threads << " threads, batch " << batch;
+      EXPECT_EQ(replies.value() - replies_before, kRequests)
+          << threads << " threads, batch " << batch;
+    }
+  }
+}
+
 TEST(Server, UnknownModelGetsTypedError) {
   util::TempDir dir;
   make_archive(dir.path() / "a", 2);
