@@ -24,13 +24,12 @@ struct AblationOutcome {
 AblationOutcome run_config(bool anneal, std::uint64_t seed) {
   const auto evaluator_ptr = core::make_evaluator(core::EvalBackendConfig{});
   const core::Evaluator& evaluator = *evaluator_ptr;
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 60;
   config.generations = 6;
   config.anneal_enabled = anneal;
   config.farm.real_threads = 2;
-  core::Nsga2Driver driver(config, evaluator);
-  const core::RunRecord run = driver.run(seed);
+  const core::RunRecord run = core::EvolutionEngine(config, evaluator).run(seed);
 
   AblationOutcome outcome;
   std::vector<double> forces;
@@ -87,14 +86,13 @@ BENCHMARK(BM_FixedSigmaRun);
 void BM_DriverWithDebSort(benchmark::State& state) {
   const auto evaluator_ptr = core::make_evaluator(core::EvalBackendConfig{});
   const core::Evaluator& evaluator = *evaluator_ptr;
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 100;
   config.generations = 3;
   config.sort_backend = moo::SortBackend::kFastNondominated;
   config.farm.real_threads = 2;
   for (auto _ : state) {
-    core::Nsga2Driver driver(config, evaluator);
-    benchmark::DoNotOptimize(driver.run(2));
+    benchmark::DoNotOptimize(core::EvolutionEngine(config, evaluator).run(2));
   }
 }
 BENCHMARK(BM_DriverWithDebSort);
@@ -102,14 +100,13 @@ BENCHMARK(BM_DriverWithDebSort);
 void BM_DriverWithRankOrdinalSort(benchmark::State& state) {
   const auto evaluator_ptr = core::make_evaluator(core::EvalBackendConfig{});
   const core::Evaluator& evaluator = *evaluator_ptr;
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 100;
   config.generations = 3;
   config.sort_backend = moo::SortBackend::kRankOrdinal;
   config.farm.real_threads = 2;
   for (auto _ : state) {
-    core::Nsga2Driver driver(config, evaluator);
-    benchmark::DoNotOptimize(driver.run(2));
+    benchmark::DoNotOptimize(core::EvolutionEngine(config, evaluator).run(2));
   }
 }
 BENCHMARK(BM_DriverWithRankOrdinalSort);

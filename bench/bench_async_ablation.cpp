@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "core/async_driver.hpp"
+#include "core/engine.hpp"
 #include "hpc/taskfarm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -162,25 +162,25 @@ int main(int argc, char** argv) {
   std::vector<AblationPoint> points;
   double total_speedup = 0.0;
   for (std::uint64_t seed = 1; seed <= num_seeds; ++seed) {
-    core::DriverConfig sync_config;
+    core::EngineConfig sync_config;
     sync_config.population_size = population;
     sync_config.generations = generations;
     sync_config.farm.real_threads = 2;
     sync_config.farm.faults =
         generational_stragglers(population, generations, straggler_every,
                                 straggler_factor);
-    core::Nsga2Driver sync_driver(sync_config, evaluator);
-    const core::RunRecord sync_run = sync_driver.run(seed);
+    const core::RunRecord sync_run =
+        core::EvolutionEngine(sync_config, evaluator).run(seed);
 
-    core::AsyncDriverConfig async_config;
-    async_config.num_workers = population;
-    async_config.population_capacity = population;
+    core::EngineConfig async_config;
+    async_config.mode = core::ScheduleMode::kSteadyState;
+    async_config.population_size = population;
     async_config.total_evaluations = budget;
     async_config.farm.real_threads = 2;
     async_config.farm.faults =
         steady_state_stragglers(budget, straggler_every, straggler_factor);
-    core::AsyncSteadyStateDriver async_driver(async_config, evaluator);
-    const core::RunRecord async_run = async_driver.run(seed);
+    const core::RunRecord async_run =
+        core::EvolutionEngine(async_config, evaluator).run(seed);
 
     AblationPoint sync_point{"generational", seed, sync_run.job_minutes,
                              1.0 - sync_run.busy_fraction,

@@ -14,10 +14,10 @@ namespace dpho::bench {
 
 inline core::ExperimentConfig paper_experiment_config() {
   core::ExperimentConfig config;
-  config.driver.population_size = 100;  // one Summit node per individual
-  config.driver.generations = 6;        // waves 0..6 -> 3500 trainings total
-  config.driver.farm.node_failure_probability = 0.0005;
-  config.driver.farm.real_threads = 2;
+  config.engine.population_size = 100;  // one Summit node per individual
+  config.engine.generations = 6;        // waves 0..6 -> 3500 trainings total
+  config.engine.farm.node_failure_probability = 0.0005;
+  config.engine.farm.real_threads = 2;
   config.seeds = {1, 2, 3, 4, 5};  // the five independent runs
   return config;
 }

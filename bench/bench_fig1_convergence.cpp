@@ -88,13 +88,12 @@ void print_fig1() {
 void BM_OneGeneration(benchmark::State& state) {
   const auto evaluator_ptr = core::make_evaluator(core::EvalBackendConfig{});
   const core::Evaluator& evaluator = *evaluator_ptr;
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = static_cast<std::size_t>(state.range(0));
   config.generations = 1;
   config.farm.real_threads = 2;
   for (auto _ : state) {
-    core::Nsga2Driver driver(config, evaluator);
-    benchmark::DoNotOptimize(driver.run(1));
+    benchmark::DoNotOptimize(core::EvolutionEngine(config, evaluator).run(1));
   }
 }
 BENCHMARK(BM_OneGeneration)->Arg(25)->Arg(100)->Arg(400);
@@ -102,13 +101,12 @@ BENCHMARK(BM_OneGeneration)->Arg(25)->Arg(100)->Arg(400);
 void BM_FullRun100x7(benchmark::State& state) {
   const auto evaluator_ptr = core::make_evaluator(core::EvalBackendConfig{});
   const core::Evaluator& evaluator = *evaluator_ptr;
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 100;
   config.generations = 6;
   config.farm.real_threads = 2;
   for (auto _ : state) {
-    core::Nsga2Driver driver(config, evaluator);
-    benchmark::DoNotOptimize(driver.run(1));
+    benchmark::DoNotOptimize(core::EvolutionEngine(config, evaluator).run(1));
   }
 }
 BENCHMARK(BM_FullRun100x7);

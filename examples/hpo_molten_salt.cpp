@@ -18,18 +18,18 @@
 int main(int argc, char** argv) {
   using namespace dpho;
   core::ExperimentConfig config;
-  config.driver.population_size =
+  config.engine.population_size =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 40;
-  config.driver.generations = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6;
+  config.engine.generations = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6;
   const std::size_t runs = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2;
   config.seeds.clear();
   for (std::size_t s = 1; s <= runs; ++s) config.seeds.push_back(s);
-  config.driver.farm.node_failure_probability = 0.0005;
-  config.driver.farm.real_threads = 2;
+  config.engine.farm.node_failure_probability = 0.0005;
+  config.engine.farm.real_threads = 2;
 
   std::printf("NSGA-II hyperparameter optimization: %zu individuals x %zu"
               " generations x %zu runs\n",
-              config.driver.population_size, config.driver.generations + 1, runs);
+              config.engine.population_size, config.engine.generations + 1, runs);
 
   const std::unique_ptr<core::Evaluator> evaluator =
       core::make_evaluator(core::EvalBackendConfig{});

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/analysis.hpp"
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "md/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -41,12 +41,11 @@ int main(int argc, char** argv) {
   const std::unique_ptr<core::Evaluator> evaluator = core::make_evaluator(backend);
 
   std::printf("== NSGA-II over real trainings (6 individuals x 2 waves) ==\n");
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 6;
   config.generations = 1;
   config.farm.real_threads = 2;
-  core::Nsga2Driver driver(config, *evaluator);
-  const core::RunRecord run = driver.run(3);
+  const core::RunRecord run = core::EvolutionEngine(config, *evaluator).run(3);
 
   const core::DeepMDRepresentation repr;
   for (const auto& generation : run.generations) {

@@ -12,8 +12,8 @@
 // Usage: ./examples/nas_extension
 #include <cstdio>
 
+#include "core/engine.hpp"
 #include "core/nas.hpp"
-#include "core/driver.hpp"
 #include "md/simulation.hpp"
 
 int main() {
@@ -43,13 +43,12 @@ int main() {
 
   std::printf("== joint NAS + HPO over real trainings (6 x 2 waves,"
               " 9-gene genome) ==\n");
-  core::DriverConfig config;
+  core::EngineConfig config;
   config.population_size = 6;
   config.generations = 1;
   config.representation = evaluator.representation().representation();
   config.farm.real_threads = 2;
-  core::Nsga2Driver driver(config, evaluator);
-  const core::RunRecord run = driver.run(5);
+  const core::RunRecord run = core::EvolutionEngine(config, evaluator).run(5);
 
   for (const auto& generation : run.generations) {
     std::printf("\ngeneration %d:\n", generation.generation);

@@ -123,8 +123,7 @@ ea::Individual individual_from_json(const util::Json& json) {
   }
   individual.status = eval_status_from_string(json.at("status").as_string());
   individual.eval_runtime_minutes = json.at("eval_runtime_minutes").as_number();
-  individual.eval_attempts =
-      static_cast<std::size_t>(json.at("eval_attempts").as_int());
+  individual.eval_attempts = json.uint_at("eval_attempts");
   individual.failure_cause = json.at("failure_cause").as_string();
   individual.birth_generation =
       static_cast<int>(json.at("birth_generation").as_int());
@@ -154,10 +153,9 @@ hpc::TaskReport task_report_from_json(const util::Json& json) {
   }
   report.sim_minutes = json.at("sim_minutes").as_number();
   report.finish_minute = json.at("finish_minute").as_number();
-  report.attempts = static_cast<std::size_t>(json.at("attempts").as_int());
-  report.payload_attempts =
-      static_cast<std::size_t>(json.at("payload_attempts").as_int());
-  report.node = static_cast<std::size_t>(json.at("node").as_int());
+  report.attempts = json.uint_at("attempts");
+  report.payload_attempts = json.uint_at("payload_attempts");
+  report.node = json.uint_at("node");
   report.cause = hpc::failure_cause_from_string(json.at("cause").as_string());
   return report;
 }
@@ -211,35 +209,33 @@ util::Json farm_snapshot_to_json(const hpc::FarmSnapshot& farm) {
 hpc::FarmSnapshot farm_snapshot_from_json(const util::Json& json) {
   hpc::FarmSnapshot farm;
   farm.clock_minutes = json.at("clock_minutes").as_number();
-  farm.live_workers = static_cast<std::size_t>(json.at("live_workers").as_int());
+  farm.live_workers = json.uint_at("live_workers");
   for (const util::Json& node : json.at("tasks_run_on_node").as_array()) {
     const std::int64_t count = node.as_int();
     farm.tasks_run_on_node.push_back(count < 0 ? static_cast<std::size_t>(-1)
                                                : static_cast<std::size_t>(count));
   }
   farm.rng = rng_state_from_json(json.at("rng"));
-  farm.batches_run = static_cast<std::size_t>(json.at("batches_run").as_int());
+  farm.batches_run = json.uint_at("batches_run");
   if (json.contains("stream_active") && json.at("stream_active").as_bool()) {
     farm.stream_active = true;
     farm.stream_now = json.at("stream_now").as_number();
-    farm.stream_batch = static_cast<std::size_t>(json.at("stream_batch").as_int());
-    farm.stream_node_failures =
-        static_cast<std::size_t>(json.at("stream_node_failures").as_int());
-    farm.stream_scheduler_restarts =
-        static_cast<std::size_t>(json.at("stream_scheduler_restarts").as_int());
+    farm.stream_batch = json.uint_at("stream_batch");
+    farm.stream_node_failures = json.uint_at("stream_node_failures");
+    farm.stream_scheduler_restarts = json.uint_at("stream_scheduler_restarts");
     for (const util::Json& minute : json.at("stream_free_at").as_array()) {
       farm.stream_free_at.push_back(minute.as_number());
     }
     for (const util::Json& entry : json.at("stream_in_flight").as_array()) {
       hpc::InFlightTask task;
-      task.id = static_cast<std::size_t>(entry.at("id").as_int());
+      task.id = entry.uint_at("id");
       task.finish_at = entry.at("finish_at").as_number();
       task.report = task_report_from_json(entry.at("report"));
       farm.stream_in_flight.push_back(std::move(task));
     }
     for (const util::Json& entry : json.at("stream_delivered").as_array()) {
       hpc::StreamCompletion done;
-      done.id = static_cast<std::size_t>(entry.at("id").as_int());
+      done.id = entry.uint_at("id");
       done.report = task_report_from_json(entry.at("report"));
       farm.stream_delivered.push_back(std::move(done));
     }
@@ -306,16 +302,15 @@ DriverCheckpoint CheckpointManager::from_json(const util::Json& json) {
   }
   // Version 1 lacked the mode tag and stream state but is otherwise a valid
   // generational checkpoint; refuse anything newer than we understand.
-  const int schema = static_cast<int>(json.number_or("schema", -1.0));
-  if (schema < 1 || schema > kSchemaVersion) {
+  const std::uint64_t schema = json.uint_or("schema", 0);
+  if (schema < 1 || schema > static_cast<std::uint64_t>(kSchemaVersion)) {
     throw util::ParseError("unsupported checkpoint schema version");
   }
   DriverCheckpoint checkpoint;
   checkpoint.mode = schedule_mode_from_string(
       json.string_or("mode", to_string(ScheduleMode::kGenerational)));
   checkpoint.seed = hex_to_u64(json.at("seed").as_string());
-  checkpoint.completed_generations =
-      static_cast<std::size_t>(json.at("completed_generations").as_int());
+  checkpoint.completed_generations = json.uint_at("completed_generations");
   for (const util::Json& individual : json.at("parents").as_array()) {
     checkpoint.parents.push_back(individual_from_json(individual));
   }
@@ -328,16 +323,15 @@ DriverCheckpoint CheckpointManager::from_json(const util::Json& json) {
     checkpoint.generations.push_back(generation_from_json(gen));
   }
   if (checkpoint.mode == ScheduleMode::kSteadyState) {
-    checkpoint.births = static_cast<std::size_t>(json.at("births").as_int());
+    checkpoint.births = json.uint_at("births");
     checkpoint.wave_started_minutes = json.at("wave_started_minutes").as_number();
-    checkpoint.wave_node_failures_base =
-        static_cast<std::size_t>(json.at("wave_node_failures_base").as_int());
+    checkpoint.wave_node_failures_base = json.uint_at("wave_node_failures_base");
     if (json.contains("partial_wave")) {
       checkpoint.partial_wave = generation_from_json(json.at("partial_wave"));
     }
     for (const util::Json& entry : json.at("in_flight").as_array()) {
       InFlightBirth birth;
-      birth.id = static_cast<std::size_t>(entry.at("id").as_int());
+      birth.id = entry.uint_at("id");
       birth.individual = individual_from_json(entry.at("individual"));
       checkpoint.in_flight.push_back(std::move(birth));
     }

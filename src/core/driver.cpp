@@ -1,6 +1,5 @@
 #include "core/driver.hpp"
 
-#include "core/engine.hpp"
 #include "util/error.hpp"
 
 namespace dpho::core {
@@ -39,34 +38,6 @@ std::size_t RunRecord::total_failures() const {
   std::size_t count = 0;
   for (const GenerationRecord& gen : generations) count += gen.failures;
   return count;
-}
-
-Nsga2Driver::Nsga2Driver(DriverConfig config, const Evaluator& evaluator)
-    : config_(std::move(config)), evaluator_(evaluator) {
-  if (config_.population_size == 0) {
-    throw util::ValueError("driver: population must be positive");
-  }
-}
-
-RunRecord Nsga2Driver::run(std::uint64_t seed) {
-  EngineConfig engine_config;
-  engine_config.mode = ScheduleMode::kGenerational;
-  engine_config.population_size = config_.population_size;
-  engine_config.generations = config_.generations;
-  engine_config.anneal_factor = config_.anneal_factor;
-  engine_config.anneal_enabled = config_.anneal_enabled;
-  engine_config.sort_backend = config_.sort_backend;
-  engine_config.cluster = config_.cluster;
-  engine_config.farm = config_.farm;
-  engine_config.cluster_backend = config_.cluster_backend;
-  engine_config.include_runtime_objective = config_.include_runtime_objective;
-  engine_config.representation = config_.representation;
-  engine_config.checkpoint_dir = config_.checkpoint_dir;
-  engine_config.resume = config_.resume;
-  engine_config.halt_after_generation = config_.halt_after_generation;
-  engine_config.trace_dir = config_.trace_dir;
-  engine_config.metrics_interval = config_.metrics_interval;
-  return EvolutionEngine(std::move(engine_config), evaluator_).run(seed);
 }
 
 }  // namespace dpho::core

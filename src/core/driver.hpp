@@ -1,31 +1,13 @@
-// The paper's NSGA-II deployment: LEAP-style pipeline + Dask farm + annealing.
-//
-// One generation reproduces Listing 1:
-//   offspring = pipe(parents, random_selection, clone,
-//                    mutate_gaussian(std=context['std'], isotropic,
-//                                    hard_bounds=representation.bounds),
-//                    eval_pool(farm, size=len(parents)),
-//                    rank_ordinal_sort(parents=parents),
-//                    crowding_distance_calc,
-//                    truncation_selection(size=len(parents),
-//                                         key=(-rank, distance)))
-// after which context['std'] is multiplied by the annealing factor (0.85,
-// section 2.2.3; the 1/5 success rule is deliberately not used).  Evaluation
-// failures receive MAXINT fitnesses (section 2.2.4).
+// The records one evolution run produces, in either schedule mode: the
+// analysis layer, checkpoints, persistence and the scheduler read these.
+// The engine that fills them is core::EvolutionEngine (engine.hpp).
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
-#include <optional>
+#include <string>
 #include <vector>
 
-#include "core/deepmd_repr.hpp"
-#include "core/evaluator.hpp"
-#include "ea/context.hpp"
-#include "ea/ops.hpp"
-#include "hpc/cluster_factory.hpp"
-#include "hpc/taskfarm.hpp"
-#include "moo/nsga2.hpp"
+#include "ea/individual.hpp"
 
 namespace dpho::core {
 
@@ -77,58 +59,6 @@ struct RunRecord {
   std::vector<EvalRecord> all_evaluations() const;
   std::size_t total_evaluations() const;
   std::size_t total_failures() const;
-};
-
-/// Driver configuration (defaults = the paper's setup).
-struct DriverConfig {
-  std::size_t population_size = 100;   // == nodes allocated
-  std::size_t generations = 6;         // beyond generation 0 (7 waves total)
-  double anneal_factor = 0.85;
-  moo::SortBackend sort_backend = moo::SortBackend::kRankOrdinal;
-  hpc::ClusterSpec cluster = hpc::ClusterSpec::summit();
-  hpc::FarmConfig farm;                // farm.job.nodes synced to population
-  /// Cluster backend: simulated farm (default) or real worker subprocesses.
-  hpc::ClusterBackendConfig cluster_backend;
-  bool anneal_enabled = true;          // ablation hook
-  /// Adds the simulated training runtime (minutes) as a third minimized
-  /// objective -- the "optimization of time to solution" the paper notes its
-  /// scheme also provides (section 1; unnecessary for their dataset since
-  /// all runtimes stayed below 80 minutes, but supported here).
-  bool include_runtime_objective = false;
-  /// Genome layout override; empty -> the paper's 7-gene DeepMD
-  /// representation.  Extensions (e.g. the NAS genome) supply their own; the
-  /// evaluator must decode matching genomes.
-  std::optional<ea::Representation> representation;
-  /// When set, the full EA state is persisted atomically after every
-  /// generation so an interrupted run can be resumed.
-  std::optional<std::filesystem::path> checkpoint_dir;
-  /// Resume from the latest valid checkpoint in `checkpoint_dir` (no-op when
-  /// the directory holds none); the resumed run's RunRecord is bit-identical
-  /// to an uninterrupted run with the same seed and configuration.
-  bool resume = false;
-  /// Stop (gracefully) after completing + checkpointing this generation
-  /// index; models batch-scheduler preemption and drives the resume tests.
-  std::optional<std::size_t> halt_after_generation;
-  /// When set, per-batch schedule traces (trace-*.csv + gantt-*.txt) are
-  /// written here via hpc::trace_csv / hpc::gantt_art.
-  std::optional<std::filesystem::path> trace_dir;
-  /// Closed waves between engine.metrics timeline snapshots (0 = off).
-  std::size_t metrics_interval = 0;
-};
-
-/// NSGA-II over the DeepMD representation with parallel farmed evaluation.
-/// Thin facade over core::EvolutionEngine in generational mode (engine.hpp);
-/// the submit/retry/record/checkpoint machinery lives there.
-class Nsga2Driver {
- public:
-  Nsga2Driver(DriverConfig config, const Evaluator& evaluator);
-
-  /// Runs one full deployment with the given seed.
-  RunRecord run(std::uint64_t seed);
-
- private:
-  DriverConfig config_;
-  const Evaluator& evaluator_;
 };
 
 }  // namespace dpho::core

@@ -207,6 +207,25 @@ void EngineRun::record_wave_metrics(const GenerationRecord& wave) {
   }
 }
 
+std::optional<DriverCheckpoint> EngineRun::resume_checkpoint() {
+  if (!config.resume || !checkpoints) return std::nullopt;
+  std::optional<DriverCheckpoint> checkpoint = checkpoints->load();
+  if (!checkpoint) return std::nullopt;
+  if (checkpoint->seed != seed) {
+    throw util::ValueError(
+        "checkpoint seed mismatch: directory holds a run for seed " +
+        std::to_string(checkpoint->seed));
+  }
+  if (checkpoint->mode != config.mode) {
+    throw util::ValueError("checkpoint mode mismatch: directory holds a " +
+                           to_string(checkpoint->mode) + " run");
+  }
+  rng.restore_state(checkpoint->rng);
+  context.mutation_std() = checkpoint->mutation_std;
+  record.generations = std::move(checkpoint->generations);
+  return checkpoint;
+}
+
 DriverCheckpoint EngineRun::base_checkpoint(std::size_t completed,
                                             const ea::Population& parents) const {
   DriverCheckpoint checkpoint;
@@ -293,35 +312,21 @@ void GenerationalSchedule::run(EngineRun& run, VariationPolicy& variation) {
   ea::Population parents;
   std::size_t first_offspring_gen = 1;
   bool resumed = false;
-  if (config.resume && run.checkpoints) {
-    if (std::optional<DriverCheckpoint> checkpoint = run.checkpoints->load()) {
-      if (checkpoint->seed != run.seed) {
-        throw util::ValueError(
-            "checkpoint seed mismatch: directory holds a run for seed " +
-            std::to_string(checkpoint->seed));
-      }
-      if (checkpoint->mode != ScheduleMode::kGenerational) {
-        throw util::ValueError("checkpoint mode mismatch: directory holds a " +
-                               to_string(checkpoint->mode) + " run");
-      }
-      if (checkpoint->parents.size() != config.population_size) {
-        throw util::ValueError("checkpoint population size mismatch");
-      }
-      parents = std::move(checkpoint->parents);
-      run.rng.restore_state(checkpoint->rng);
-      run.context.mutation_std() = checkpoint->mutation_std;
-      if (!run.farm->restore(checkpoint->farm).empty()) {
-        // Generational checkpoints are only written at wave barriers, where
-        // no task is in flight.
-        throw util::ValueError(
-            "generational checkpoint reports lost in-flight tasks");
-      }
-      run.record.generations = std::move(checkpoint->generations);
-      first_offspring_gen = checkpoint->completed_generations + 1;
-      resumed = true;
-      util::log_info() << "driver: seed " << run.seed << " resumed after generation "
-                       << checkpoint->completed_generations;
+  if (std::optional<DriverCheckpoint> checkpoint = run.resume_checkpoint()) {
+    if (checkpoint->parents.size() != config.population_size) {
+      throw util::ValueError("checkpoint population size mismatch");
     }
+    parents = std::move(checkpoint->parents);
+    if (!run.farm->restore(checkpoint->farm).empty()) {
+      // Generational checkpoints are only written at wave barriers, where
+      // no task is in flight.
+      throw util::ValueError(
+          "generational checkpoint reports lost in-flight tasks");
+    }
+    first_offspring_gen = checkpoint->completed_generations + 1;
+    resumed = true;
+    util::log_info() << "driver: seed " << run.seed << " resumed after generation "
+                     << checkpoint->completed_generations;
   }
 
   const auto save_checkpoint = [&](std::size_t completed) {
@@ -426,69 +431,50 @@ void SteadyStateLoop::save_checkpoint() {
 }
 
 void SteadyStateLoop::start() {
-  const EngineConfig& config = run_.config;
-
-  bool resumed = false;
-  if (config.resume && run_.checkpoints) {
-    if (std::optional<DriverCheckpoint> checkpoint = run_.checkpoints->load()) {
-      if (checkpoint->seed != run_.seed) {
-        throw util::ValueError(
-            "checkpoint seed mismatch: directory holds a run for seed " +
-            std::to_string(checkpoint->seed));
-      }
-      if (checkpoint->mode != ScheduleMode::kSteadyState) {
-        throw util::ValueError("checkpoint mode mismatch: directory holds a " +
-                               to_string(checkpoint->mode) + " run");
-      }
-      archive_ = std::move(checkpoint->parents);
-      run_.rng.restore_state(checkpoint->rng);
-      run_.context.mutation_std() = checkpoint->mutation_std;
-      run_.record.generations = std::move(checkpoint->generations);
-      births_ = checkpoint->births;
-      completions_ = checkpoint->completed_generations;
-      wave_index_ = run_.record.generations.size();
-      wave_started_ = checkpoint->wave_started_minutes;
-      wave_node_failures_base_ = checkpoint->wave_node_failures_base;
-      if (checkpoint->partial_wave) {
-        wave_ = std::move(*checkpoint->partial_wave);
-      }
-      for (InFlightBirth& birth : checkpoint->in_flight) {
-        in_flight_.emplace(birth.id, std::move(birth.individual));
-      }
-      // The farm snapshot carries the open stream session.  The sim backend
-      // restores every in-flight report verbatim; the process backend cannot
-      // preserve a real worker's half-finished evaluation, so it reports the
-      // lost ids back and we re-submit them (same deterministic eval seed --
-      // the re-run is fitness-identical to what the dead run would have
-      // produced).
-      const std::vector<std::size_t> lost =
-          run_.farm->restore(checkpoint->farm);
-      for (const std::size_t id : lost) {
-        const auto it = in_flight_.find(id);
-        if (it == in_flight_.end()) {
-          throw util::ValueError(
-              "restore reported lost task " + std::to_string(id) +
-              " that the checkpoint does not hold in flight");
-        }
-        const int wave_of_birth =
-            static_cast<int>(id / config.population_size);
-        run_.farm->stream_submit(run_.make_spec(id, it->second, wave_of_birth),
-                                 run_.local_work());
-      }
-      resumed = true;
-      util::log_info() << "engine: seed " << run_.seed << " resumed after "
-                       << completions_ << " completions (" << in_flight_.size()
-                       << " in flight, " << lost.size() << " re-submitted)";
-    }
-  }
-
-  if (!resumed) {
+  std::optional<DriverCheckpoint> checkpoint = run_.resume_checkpoint();
+  if (!checkpoint) {
     run_.farm->stream_begin();
     // Initial wave: one random individual per worker.
     for (std::size_t worker = 0; worker < run_.num_workers; ++worker) {
       submit(run_.genome_layout.create_individual(run_.rng, 0));
     }
+    return;
   }
+
+  archive_ = std::move(checkpoint->parents);
+  births_ = checkpoint->births;
+  completions_ = checkpoint->completed_generations;
+  wave_index_ = run_.record.generations.size();
+  wave_started_ = checkpoint->wave_started_minutes;
+  wave_node_failures_base_ = checkpoint->wave_node_failures_base;
+  if (checkpoint->partial_wave) {
+    wave_ = std::move(*checkpoint->partial_wave);
+  }
+  for (InFlightBirth& birth : checkpoint->in_flight) {
+    in_flight_.emplace(birth.id, std::move(birth.individual));
+  }
+  // The farm snapshot carries the open stream session.  The sim backend
+  // restores every in-flight report verbatim; the process backend cannot
+  // preserve a real worker's half-finished evaluation, so it reports the
+  // lost ids back and we re-submit them (same deterministic eval seed --
+  // the re-run is fitness-identical to what the dead run would have
+  // produced).
+  const std::vector<std::size_t> lost = run_.farm->restore(checkpoint->farm);
+  for (const std::size_t id : lost) {
+    const auto it = in_flight_.find(id);
+    if (it == in_flight_.end()) {
+      throw util::ValueError(
+          "restore reported lost task " + std::to_string(id) +
+          " that the checkpoint does not hold in flight");
+    }
+    const int wave_of_birth =
+        static_cast<int>(id / run_.config.population_size);
+    run_.farm->stream_submit(run_.make_spec(id, it->second, wave_of_birth),
+                             run_.local_work());
+  }
+  util::log_info() << "engine: seed " << run_.seed << " resumed after "
+                   << completions_ << " completions (" << in_flight_.size()
+                   << " in flight, " << lost.size() << " re-submitted)";
 }
 
 void SteadyStateLoop::handle(const hpc::StreamCompletion& done) {
@@ -582,13 +568,10 @@ EvolutionEngine::EvolutionEngine(EngineConfig config, const Evaluator& evaluator
         "engine: custom representations are not supported by the process "
         "cluster backend");
   }
-  if (config_.mode == ScheduleMode::kSteadyState) {
-    if (resolve_workers(config_) == 0) {
-      throw util::ValueError("engine: need >= 1 worker");
-    }
-    if (resolve_budget(config_) < resolve_workers(config_)) {
-      throw util::ValueError("engine: budget must cover the initial wave");
-    }
+  // population_size > 0 makes the resolved worker count positive too.
+  if (config_.mode == ScheduleMode::kSteadyState &&
+      resolve_budget(config_) < resolve_workers(config_)) {
+    throw util::ValueError("engine: budget must cover the initial wave");
   }
 }
 

@@ -3,8 +3,8 @@
 //
 // The paper's generational NSGA-II (section 2.2.3) and the asynchronous
 // steady-state variant it motivates (Scott et al. [24]) share everything
-// except *when* survivor selection happens and *how* sigma anneals; what
-// used to be two forked drivers is now one engine parameterized by
+// except *when* survivor selection happens and *how* sigma anneals, so one
+// engine runs both, parameterized by
 //
 //   * a SchedulePolicy  -- generational barrier (run_batch per wave) vs.
 //     steady-state replacement (stream_* session, no barrier), and
@@ -15,17 +15,27 @@
 // Both policies draw on the same services: deterministic per-evaluation
 // seeding (derive_eval_seed), the DaskCluster fault/retry machinery,
 // MAXINT record building, rank+crowding truncation, trace export and
-// crash-safe checkpointing.  Nsga2Driver and AsyncSteadyStateDriver are
-// thin facades that translate their configs into an EngineConfig.
+// crash-safe checkpointing.  Every caller -- dpho_hpo, ExperimentRunner,
+// the dpho_sched scheduler, the benches and examples -- builds one
+// EngineConfig and calls EvolutionEngine(config, evaluator).run(seed).
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/checkpoint.hpp"
+#include "core/deepmd_repr.hpp"
 #include "core/driver.hpp"
+#include "core/evaluator.hpp"
+#include "ea/context.hpp"
+#include "ea/ops.hpp"
 #include "hpc/cluster_factory.hpp"
+#include "hpc/taskfarm.hpp"
+#include "moo/nsga2.hpp"
 
 namespace dpho::core {
 
@@ -45,7 +55,8 @@ std::uint64_t derive_eval_seed(std::uint64_t run_seed, int wave,
 using SessionFactory = std::function<std::unique_ptr<hpc::ClusterSession>(
     const hpc::ClusterSpec&, const hpc::FarmConfig&)>;
 
-/// Mode-neutral engine configuration; the facades build one of these.
+/// The one run configuration, for both schedule modes and both cluster
+/// backends (defaults = the paper's setup).
 struct EngineConfig {
   ScheduleMode mode = ScheduleMode::kGenerational;
   std::size_t population_size = 100;  // mu == archive capacity
@@ -66,12 +77,25 @@ struct EngineConfig {
   hpc::ClusterBackendConfig cluster_backend;
   /// Overrides cluster_backend when set (see SessionFactory above).
   SessionFactory session_factory;
+  /// Adds the simulated training runtime (minutes) as a third minimized
+  /// objective -- the "optimization of time to solution" the paper notes its
+  /// scheme also provides (section 1).
   bool include_runtime_objective = false;
+  /// Genome layout override; empty -> the paper's 7-gene DeepMD
+  /// representation.  Extensions (e.g. the NAS genome) supply their own; the
+  /// evaluator must decode matching genomes.
   std::optional<ea::Representation> representation;
+  /// When set, the full EA state is persisted atomically (every generation,
+  /// or every checkpoint_every completions) so an interrupted run resumes.
   std::optional<std::filesystem::path> checkpoint_dir;
+  /// Resume from the latest valid checkpoint in `checkpoint_dir` (no-op when
+  /// it holds none); the resumed RunRecord is bit-identical to an
+  /// uninterrupted run with the same seed and configuration.
   bool resume = false;
-  std::optional<std::size_t> halt_after_generation;   // generational preemption
-  std::optional<std::size_t> halt_after_evaluations;  // steady-state preemption
+  /// Graceful preemption after this generation (generational) or this many
+  /// completions (steady state), once its checkpoint is written.
+  std::optional<std::size_t> halt_after_generation;
+  std::optional<std::size_t> halt_after_evaluations;
   /// Steady state: completions between checkpoint writes (1 = every
   /// completion; checkpointing is off unless checkpoint_dir is set).
   std::size_t checkpoint_every = 1;
@@ -143,6 +167,13 @@ struct EngineRun {
   /// the deterministic metrics snapshot.
   void record_wave_metrics(const GenerationRecord& wave);
 
+  /// The resume point: when config.resume is set and the checkpoint
+  /// directory holds a checkpoint, checks that it belongs to this seed and
+  /// schedule mode, restores the state both modes share (RNG stream, sigma,
+  /// closed waves) and returns it for the schedule's own fields.  nullopt
+  /// means the run starts fresh.
+  std::optional<DriverCheckpoint> resume_checkpoint();
+
   /// The checkpoint fields common to both modes; schedule policies add their
   /// own extras before saving.
   DriverCheckpoint base_checkpoint(std::size_t completed,
@@ -178,6 +209,18 @@ class VariationPolicy {
 };
 
 /// The paper's schedule: every wave is a barrier over population_size nodes.
+/// One generation reproduces Listing 1:
+///   offspring = pipe(parents, random_selection, clone,
+///                    mutate_gaussian(std=context['std'], isotropic,
+///                                    hard_bounds=representation.bounds),
+///                    eval_pool(farm, size=len(parents)),
+///                    rank_ordinal_sort(parents=parents),
+///                    crowding_distance_calc,
+///                    truncation_selection(size=len(parents),
+///                                         key=(-rank, distance)))
+/// after which context['std'] is multiplied by the annealing factor (0.85,
+/// section 2.2.3; the 1/5 success rule is deliberately not used).
+/// Evaluation failures receive MAXINT fitnesses (section 2.2.4).
 class GenerationalSchedule : public SchedulePolicy {
  public:
   void run(EngineRun& run, VariationPolicy& variation) override;
@@ -252,8 +295,8 @@ class PerBirthAnnealing : public VariationPolicy {
   void after_birth(EngineRun& run) override;
 };
 
-/// The unified driver: owns the config, resolves policies from the mode, and
-/// produces one RunRecord per run(seed).
+/// The engine: owns the config, validates it, resolves the policies from the
+/// mode, and produces one RunRecord per run(seed).
 class EvolutionEngine {
  public:
   EvolutionEngine(EngineConfig config, const Evaluator& evaluator);

@@ -1,7 +1,8 @@
 // The one-line boundary between core's evaluation contract and the task
 // farm's work protocol.  Only code that actually hands evaluations to a
-// DaskCluster (driver.cpp, async_driver.cpp, nas.cpp) includes this header;
-// everything else in core is hpc-free.
+// cluster session (engine.cpp, and dpho_worker on the far side of the
+// process backend) includes this header; everything else in core is
+// hpc-free.
 #pragma once
 
 #include <utility>

@@ -53,8 +53,7 @@ util::Json surrogate_to_json(const SurrogateConfig& config) {
 
 SurrogateConfig surrogate_from_json(const util::Json& json) {
   SurrogateConfig config;
-  config.num_workers = static_cast<std::size_t>(
-      json.number_or("num_workers", static_cast<double>(config.num_workers)));
+  config.num_workers = json.uint_or("num_workers", config.num_workers);
 #define DPHO_GET(field) config.field = json.number_or(#field, config.field);
   DPHO_SURROGATE_DOUBLE_FIELDS(DPHO_GET)
 #undef DPHO_GET
@@ -91,10 +90,8 @@ SubprocessEvalOptions subprocess_from_json(const util::Json& json) {
       json.number_or("wall_limit_seconds", options.wall_limit_seconds);
   options.sim_minutes_per_real_second = json.number_or(
       "sim_minutes_per_real_second", options.sim_minutes_per_real_second);
-  options.trainer_threads = static_cast<std::size_t>(json.number_or(
-      "trainer_threads", static_cast<double>(options.trainer_threads)));
-  options.max_attempts = static_cast<std::size_t>(json.number_or(
-      "max_attempts", static_cast<double>(options.max_attempts)));
+  options.trainer_threads = json.uint_or("trainer_threads", options.trainer_threads);
+  options.max_attempts = json.uint_or("max_attempts", options.max_attempts);
   options.retry_backoff_seconds =
       json.number_or("retry_backoff_seconds", options.retry_backoff_seconds);
   options.retry_backoff_cap_seconds = json.number_or(

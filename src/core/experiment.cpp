@@ -3,7 +3,6 @@
 #include <map>
 #include <sstream>
 
-#include "core/async_driver.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -15,47 +14,12 @@ std::vector<RunRecord> ExperimentRunner::run_all() const {
   std::vector<RunRecord> runs;
   runs.reserve(config_.seeds.size());
   for (std::uint64_t seed : config_.seeds) {
-    std::optional<std::filesystem::path> seed_dir;
-    if (config_.checkpoint_dir) {
-      seed_dir = *config_.checkpoint_dir / ("seed-" + std::to_string(seed));
+    EngineConfig engine = config_.engine;
+    if (engine.checkpoint_dir) {
+      engine.checkpoint_dir =
+          *engine.checkpoint_dir / ("seed-" + std::to_string(seed));
     }
-    if (config_.mode == ScheduleMode::kGenerational) {
-      DriverConfig driver_config = config_.driver;
-      if (seed_dir) {
-        driver_config.checkpoint_dir = seed_dir;
-        driver_config.resume = config_.resume;
-      }
-      Nsga2Driver driver(driver_config, evaluator_);
-      runs.push_back(driver.run(seed));
-    } else {
-      const DriverConfig& base = config_.driver;
-      AsyncDriverConfig async;
-      async.num_workers = config_.async_workers != 0 ? config_.async_workers
-                                                     : base.population_size;
-      async.population_capacity = base.population_size;
-      async.total_evaluations =
-          config_.async_total_evaluations != 0
-              ? config_.async_total_evaluations
-              : (base.generations + 1) * base.population_size;
-      async.anneal_factor = base.anneal_factor;
-      async.anneal_enabled = base.anneal_enabled;
-      async.task_timeout_minutes = base.farm.task_timeout_minutes;
-      async.sort_backend = base.sort_backend;
-      async.cluster = base.cluster;
-      async.farm = base.farm;
-      async.cluster_backend = base.cluster_backend;
-      async.include_runtime_objective = base.include_runtime_objective;
-      async.representation = base.representation;
-      if (seed_dir) {
-        async.checkpoint_dir = seed_dir;
-        async.resume = config_.resume;
-        async.checkpoint_every = config_.async_checkpoint_every;
-      }
-      async.trace_dir = base.trace_dir;
-      async.metrics_interval = base.metrics_interval;
-      AsyncSteadyStateDriver driver(async, evaluator_);
-      runs.push_back(driver.run(seed));
-    }
+    runs.push_back(EvolutionEngine(std::move(engine), evaluator_).run(seed));
   }
   return runs;
 }
@@ -170,7 +134,7 @@ EvalRecord eval_record_from_json(const util::Json& json) {
   record.status = status_from_string(json.at("status").as_string());
   // Optional since dpho-runs-v1 documents written before the fault-tolerance
   // layer lack them.
-  record.attempts = static_cast<std::size_t>(json.number_or("attempts", 1.0));
+  record.attempts = json.uint_or("attempts", 1);
   record.failure_cause = json.string_or("failure_cause", "none");
   record.generation = static_cast<int>(json.at("generation").as_int());
   record.uuid = json.at("uuid").as_string();
@@ -198,8 +162,8 @@ GenerationRecord generation_from_json(const util::Json& gen_json) {
   GenerationRecord gen;
   gen.generation = static_cast<int>(gen_json.at("generation").as_int());
   gen.makespan_minutes = gen_json.at("makespan_minutes").as_number();
-  gen.failures = static_cast<std::size_t>(gen_json.at("failures").as_int());
-  gen.node_failures = static_cast<std::size_t>(gen_json.at("node_failures").as_int());
+  gen.failures = gen_json.uint_at("failures");
+  gen.node_failures = gen_json.uint_at("node_failures");
   for (const util::Json& s : gen_json.at("mutation_std").as_array()) {
     gen.mutation_std.push_back(s.as_number());
   }
@@ -242,7 +206,7 @@ std::vector<RunRecord> runs_from_json(const util::Json& json) {
   std::vector<RunRecord> runs;
   for (const util::Json& run_json : json.at("runs").as_array()) {
     RunRecord run;
-    run.seed = static_cast<std::uint64_t>(run_json.at("seed").as_int());
+    run.seed = run_json.uint_at("seed");
     // Optional: documents written before the unified engine lack them.
     run.mode = schedule_mode_from_string(
         run_json.string_or("mode", to_string(ScheduleMode::kGenerational)));

@@ -1,40 +1,26 @@
 // Multi-run experiment orchestration and result export.
 //
 // The paper performs five independent EA deployments (3500 trainings total)
-// and analyses the aggregate.  ExperimentRunner repeats Nsga2Driver::run over
-// a seed list and exports per-individual records as CSV/JSON for plotting.
+// and analyses the aggregate.  ExperimentRunner runs one EngineConfig over a
+// seed list and exports per-individual records as CSV/JSON for plotting.
 #pragma once
 
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "util/json.hpp"
 
 namespace dpho::core {
 
 struct ExperimentConfig {
-  DriverConfig driver;
-  /// Schedule mode for every seed; steady-state runs reuse the driver config
-  /// (population, farm, faults, trace dir, ...) with the knobs below.
-  ScheduleMode mode = ScheduleMode::kGenerational;
-  /// Steady state only: concurrent workers (0 -> population_size) and total
-  /// evaluation budget (0 -> (generations + 1) * population_size).
-  std::size_t async_workers = 0;
-  std::size_t async_total_evaluations = 0;
-  /// Steady state only: completions between checkpoint writes.  Each write
-  /// persists the full run history, so at large budgets a coarser cadence
-  /// trades resume granularity for checkpoint I/O.
-  std::size_t async_checkpoint_every = 1;
+  /// The run configuration every seed shares, in either schedule mode.  When
+  /// engine.checkpoint_dir is set, each seed checkpoints into
+  /// `<checkpoint_dir>/seed-<seed>`, so with engine.resume a killed
+  /// experiment picks up where it stopped.
+  EngineConfig engine;
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5};
-  /// When set, every seed checkpoints into `<checkpoint_dir>/seed-<seed>` and
-  /// `run_all()` can resume a killed experiment where it stopped.  Works in
-  /// both schedule modes (steady-state checkpoints mid-wave).
-  std::optional<std::filesystem::path> checkpoint_dir;
-  /// Resume per-seed runs from their checkpoints when present.
-  bool resume = false;
 };
 
 class ExperimentRunner {

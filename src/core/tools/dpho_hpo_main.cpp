@@ -76,9 +76,17 @@ int main(int argc, char** argv) {
                                                  .default_threads = 2};
   util::add_backend_flags(args, backend_options);
   util::BackendFlags backend;
+  core::ExperimentConfig config;
+  core::EngineConfig& engine = config.engine;
+  std::size_t runs = 0;
   try {
     args.parse(argc, argv);
     backend = util::parse_backend_flags(args, backend_options);
+    engine.population_size = args.get_count("--pop", 100, 1);
+    engine.generations = args.get_count("--generations", 6);
+    runs = args.get_count("--runs", 5, 1);
+    engine.checkpoint_every = args.get_count("--checkpoint-every", 1, 1);
+    engine.farm.node_failure_probability = args.get("--failure-rate", 5e-4);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), args.usage("dpho_hpo").c_str());
     return 2;
@@ -87,27 +95,21 @@ int main(int argc, char** argv) {
     std::fputs(args.usage("dpho_hpo").c_str(), stdout);
     return 0;
   }
-
-  const auto pop = static_cast<std::size_t>(args.get("--pop", std::int64_t{100}));
-  const auto generations =
-      static_cast<std::size_t>(args.get("--generations", std::int64_t{6}));
-  const auto runs = static_cast<std::size_t>(args.get("--runs", std::int64_t{5}));
   const bool quiet = args.has("--quiet");
 
-  core::ScheduleMode mode = core::ScheduleMode::kGenerational;
   if (args.has("--mode")) {
     const std::string name = args.get("--mode", std::string("generational"));
     if (name == "generational") {
-      mode = core::ScheduleMode::kGenerational;
+      engine.mode = core::ScheduleMode::kGenerational;
     } else if (name == "async" || name == "steady_state") {
-      mode = core::ScheduleMode::kSteadyState;
+      engine.mode = core::ScheduleMode::kSteadyState;
     } else {
       std::fprintf(stderr, "--mode must be generational or async, got %s\n",
                    name.c_str());
       return 2;
     }
   }
-  if (args.has("--async")) mode = core::ScheduleMode::kSteadyState;
+  if (args.has("--async")) engine.mode = core::ScheduleMode::kSteadyState;
 
   if (args.has("--resume") && !args.has("--checkpoint-dir")) {
     std::fprintf(stderr, "--resume needs --checkpoint-dir\n");
@@ -119,19 +121,13 @@ int main(int argc, char** argv) {
   const std::unique_ptr<core::Evaluator> evaluator =
       core::make_evaluator(core::EvalBackendConfig{});
 
-  core::ExperimentConfig config;
-  config.mode = mode;
-  config.driver.population_size = pop;
-  config.driver.generations = generations;
-  config.driver.include_runtime_objective = args.has("--runtime-objective");
-  config.driver.farm.node_failure_probability = args.get("--failure-rate", 5e-4);
-  config.driver.farm.real_threads = backend.threads;
-  config.driver.metrics_interval = backend.metrics_interval;
+  engine.include_runtime_objective = args.has("--runtime-objective");
+  engine.farm.real_threads = backend.threads;
+  engine.metrics_interval = backend.metrics_interval;
 
-  config.driver.cluster_backend.kind =
-      hpc::cluster_backend_from_string(backend.cluster);
-  if (config.driver.cluster_backend.kind == hpc::ClusterBackendKind::kProcess) {
-    hpc::ProcessClusterConfig& process = config.driver.cluster_backend.process;
+  engine.cluster_backend.kind = hpc::cluster_backend_from_string(backend.cluster);
+  if (engine.cluster_backend.kind == hpc::ClusterBackendKind::kProcess) {
+    hpc::ProcessClusterConfig& process = engine.cluster_backend.process;
     process.worker_binary = backend.worker_binary.empty()
                                 ? default_worker_binary()
                                 : std::filesystem::path(backend.worker_binary);
@@ -156,7 +152,7 @@ int main(int argc, char** argv) {
   }
   if (args.has("--fault-plan")) {
     try {
-      config.driver.farm.faults =
+      engine.farm.faults =
           hpc::load_fault_plan(args.get("--fault-plan", std::string()));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--fault-plan: %s\n", e.what());
@@ -164,17 +160,11 @@ int main(int argc, char** argv) {
     }
   }
   if (args.has("--trace-dir")) {
-    config.driver.trace_dir = args.get("--trace-dir", std::string("traces"));
+    engine.trace_dir = args.get("--trace-dir", std::string("traces"));
   }
   if (args.has("--checkpoint-dir")) {
-    config.checkpoint_dir = args.get("--checkpoint-dir", std::string("checkpoints"));
-    config.resume = args.has("--resume");
-    config.async_checkpoint_every =
-        static_cast<std::size_t>(args.get("--checkpoint-every", std::int64_t{1}));
-    if (config.async_checkpoint_every == 0) {
-      std::fprintf(stderr, "--checkpoint-every must be >= 1\n");
-      return 2;
-    }
+    engine.checkpoint_dir = args.get("--checkpoint-dir", std::string("checkpoints"));
+    engine.resume = args.has("--resume");
   }
   config.seeds.clear();
   for (std::size_t seed = 1; seed <= runs; ++seed) config.seeds.push_back(seed);

@@ -43,7 +43,7 @@ StreamOp mutate_gaussian(Context& context, const std::vector<Range>& hard_bounds
 
 /// Pulls `size` individuals from the stream and evaluates them through the
 /// given evaluation function (the Dask eval_pool analogue; the HPC-parallel
-/// version lives in core::Nsga2Driver).
+/// version lives in core::EvolutionEngine).
 PoolOp eval_pool(std::size_t size,
                  const std::function<void(std::vector<Individual*>&)>& evaluate);
 

@@ -54,23 +54,14 @@ FaultPlan fault_plan_from_json(const util::Json& json) {
     // bad JSON line.
     const std::string where = "fault plan event " + std::to_string(index);
     try {
-      // Counts go through as_uint: -1 must not wrap to an event that never
-      // fires, nor 1e30 to an undefined cast.
-      const auto count = [&entry](const char* key) -> std::size_t {
-        const util::Json& value = entry.at(key);
-        try {
-          return value.as_uint();
-        } catch (const util::ValueError&) {
-          throw util::ParseError(std::string(key) + " must be an integer in " +
-                                 "[0, 2^64), got " + value.dump());
-        }
-      };
+      // Counts go through Json::uint_at: -1 must not wrap to an event that
+      // never fires, nor 1e30 to an undefined cast.
       FaultEvent event;
       event.kind = fault_kind_from_string(entry.at("kind").as_string());
-      event.batch = count("batch");
+      event.batch = entry.uint_at("batch");
       // task is meaningless for scheduler_restart events, so it is optional.
-      if (entry.contains("task")) event.task = count("task");
-      if (entry.contains("attempt")) event.attempt = count("attempt");
+      event.task = entry.uint_or("task", event.task);
+      event.attempt = entry.uint_or("attempt", event.attempt);
       if (event.attempt < 1) throw util::ParseError("attempt must be >= 1, got 0");
       event.factor = entry.number_or("factor", 1.0);
       if (event.factor < 0.0) {

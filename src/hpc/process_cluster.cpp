@@ -517,7 +517,7 @@ void ProcessCluster::dispatch_ready_tasks() {
     // Real chaos: a scripted kKillWorker event SIGKILLs the worker that just
     // received the matching attempt -- the task is mid-flight on a process
     // that is about to die, exactly the scenario the simulator models.
-    if (scripted_kill_matches(id, task.attempt)) {
+    if (scripted_kill(farm_.faults, session_batch_, id, task.attempt)) {
       if (w.pid > 0) ::kill(w.pid, SIGKILL);
       util::log_info() << "process cluster: fault plan killed worker "
                        << target << " running task " << id << " attempt "
@@ -649,40 +649,22 @@ void ProcessCluster::apply_result(std::size_t task_id, WorkResult result) {
     return;  // e.g. a result racing the wall-limit watchdog
   }
 
+  // Stragglers already slept on the worker; only corruption edits the result.
   for (const FaultEvent& event : farm_.faults.events) {
-    if (event.batch != session_batch_ || event.task != task_id ||
-        event.kind != FaultKind::kCorruptPayload) {
-      continue;
+    if (event.batch == session_batch_ && event.task == task_id &&
+        event.kind == FaultKind::kCorruptPayload) {
+      corrupt_payload(result);
     }
-    result.fitness.clear();
-    result.training_error = true;
-    result.cause = FailureCause::kPayloadCorruption;
   }
 
-  // Classification mirrors DaskCluster (taskfarm.cpp): a reported failure
-  // beats the timeout check, which beats success.
+  // Real workers model no compute-node placement, so the MPI-relaunch block
+  // never applies.
   TaskReport report;
   report.attempts = task.attempt;
   report.payload_attempts = result.attempts;
   report.node = task.worker == kNoWorker ? 0 : task.worker;
-  if (result.training_error) {
-    report.sim_minutes = std::min(1.0, result.sim_minutes);
-    report.status = TaskStatus::kTrainingError;
-    report.cause = result.cause != FailureCause::kNone
-                       ? result.cause
-                       : FailureCause::kTrainingFailure;
-  } else if (result.sim_minutes > farm_.task_timeout_minutes) {
-    report.sim_minutes = farm_.task_timeout_minutes;
-    report.status = TaskStatus::kTimeout;
-    report.cause = result.cause != FailureCause::kNone
-                       ? result.cause
-                       : FailureCause::kWallLimit;
-  } else {
-    report.sim_minutes = result.sim_minutes;
-    report.status = TaskStatus::kOk;
-    report.cause = FailureCause::kNone;
-    report.fitness = result.fitness;
-  }
+  classify_attempt(result, /*mpi_blocked=*/false, farm_.task_timeout_minutes,
+                   report);
   resolve_task(task_id, std::move(report));
 }
 
@@ -695,18 +677,6 @@ double ProcessCluster::straggler_seconds_for(std::size_t task_id) const {
     }
   }
   return seconds;
-}
-
-bool ProcessCluster::scripted_kill_matches(std::size_t task_id,
-                                           std::size_t attempt) const {
-  for (const FaultEvent& event : farm_.faults.events) {
-    if (event.kind == FaultKind::kKillWorker &&
-        event.batch == session_batch_ && event.task == task_id &&
-        event.attempt == attempt) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void ProcessCluster::reap_zombies() {

@@ -194,7 +194,6 @@ class ProcessCluster final : public ClusterSession {
   void reap_zombies();
   void shutdown_workers();
   double straggler_seconds_for(std::size_t task_id) const;
-  bool scripted_kill_matches(std::size_t task_id, std::size_t attempt) const;
 
   ClusterSpec cluster_;
   FarmConfig farm_;

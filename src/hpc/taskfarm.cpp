@@ -125,6 +125,55 @@ FailureCause failure_cause_from_string(const std::string& name) {
   throw util::ParseError("unknown failure cause: " + name);
 }
 
+bool scripted_kill(const FaultPlan& plan, std::size_t batch, std::size_t task,
+                   std::size_t attempt) {
+  for (const FaultEvent& event : plan.events) {
+    if (event.kind == FaultKind::kKillWorker && event.batch == batch &&
+        event.task == task && event.attempt == attempt) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void corrupt_payload(WorkResult& result) {
+  result.fitness.clear();
+  result.training_error = true;
+  result.cause = FailureCause::kPayloadCorruption;
+}
+
+void apply_payload_faults(const FaultPlan& plan, std::size_t batch,
+                          std::size_t task, WorkResult& result) {
+  for (const FaultEvent& event : plan.events) {
+    if (event.batch != batch || event.task != task) continue;
+    if (event.kind == FaultKind::kStraggler) result.sim_minutes *= event.factor;
+    if (event.kind == FaultKind::kCorruptPayload) corrupt_payload(result);
+  }
+}
+
+void classify_attempt(const WorkResult& result, bool mpi_blocked,
+                      double task_timeout_minutes, TaskReport& report) {
+  if (mpi_blocked || result.training_error) {
+    // Fast failure: the dp subprocess exits almost immediately.
+    report.sim_minutes = std::min(1.0, result.sim_minutes);
+    report.status = TaskStatus::kTrainingError;
+    report.cause = mpi_blocked ? FailureCause::kMpiRelaunch
+                   : result.cause != FailureCause::kNone
+                       ? result.cause
+                       : FailureCause::kTrainingFailure;
+  } else if (result.sim_minutes > task_timeout_minutes) {
+    report.sim_minutes = task_timeout_minutes;
+    report.status = TaskStatus::kTimeout;
+    report.cause = result.cause != FailureCause::kNone ? result.cause
+                                                       : FailureCause::kWallLimit;
+  } else {
+    report.sim_minutes = result.sim_minutes;
+    report.status = TaskStatus::kOk;
+    report.cause = FailureCause::kNone;
+    report.fitness = result.fitness;
+  }
+}
+
 DaskCluster::DaskCluster(const ClusterSpec& cluster, const FarmConfig& config)
     : cluster_(cluster), config_(config), rng_(config.seed),
       pool_(std::max<std::size_t>(config.real_threads, 1)),
@@ -225,40 +274,20 @@ BatchReport DaskCluster::run_batch(std::size_t num_tasks, const WorkFn& work,
   pool_.parallel_for(num_tasks, [&](std::size_t i) { results[i] = work(i); });
 
   // 1b. Scripted payload-level faults (stragglers, corruption) and scheduler
-  //     outages for this batch.
+  //     outages for this batch; kills are looked up attempt by attempt below.
+  for (std::size_t task = 0; task < num_tasks; ++task) {
+    apply_payload_faults(config_.faults, batch, task, results[task]);
+  }
   double scheduler_delay = 0.0;
   for (const FaultEvent& event : config_.faults.events) {
-    if (event.batch != batch) continue;
-    switch (event.kind) {
-      case FaultKind::kStraggler:
-        if (event.task < num_tasks) results[event.task].sim_minutes *= event.factor;
-        break;
-      case FaultKind::kCorruptPayload:
-        if (event.task < num_tasks) {
-          results[event.task].fitness.clear();
-          results[event.task].training_error = true;
-          results[event.task].cause = FailureCause::kPayloadCorruption;
-        }
-        break;
-      case FaultKind::kSchedulerRestart:
-        scheduler_delay = std::max(scheduler_delay, event.delay_minutes);
-        ++report.scheduler_restarts;
-        util::log_info() << "taskfarm: scheduler restart at batch " << batch
-                         << ", workers idle for " << event.delay_minutes << " min";
-        break;
-      case FaultKind::kKillWorker:
-        break;  // handled attempt-by-attempt below
+    if (event.batch != batch || event.kind != FaultKind::kSchedulerRestart) {
+      continue;
     }
+    scheduler_delay = std::max(scheduler_delay, event.delay_minutes);
+    ++report.scheduler_restarts;
+    util::log_info() << "taskfarm: scheduler restart at batch " << batch
+                     << ", workers idle for " << event.delay_minutes << " min";
   }
-  const auto scripted_kill = [&](std::size_t task, std::size_t attempt) {
-    for (const FaultEvent& event : config_.faults.events) {
-      if (event.kind == FaultKind::kKillWorker && event.batch == batch &&
-          event.task == task && event.attempt == attempt) {
-        return true;
-      }
-    }
-    return false;
-  };
 
   // 2. Discrete-event replay onto the simulated workers.
   struct WorkerSlot {
@@ -304,7 +333,7 @@ BatchReport DaskCluster::run_batch(std::size_t num_tasks, const WorkFn& work,
 
     // Node-failure injection (nannies disabled: the node never comes back):
     // either scripted by the fault plan or drawn from the random model.
-    const bool killed = scripted_kill(task, attempt);
+    const bool killed = scripted_kill(config_.faults, batch, task, attempt);
     if (killed || rng_.bernoulli(config_.node_failure_probability)) {
       const double run_cap = std::min(result.sim_minutes, config_.task_timeout_minutes);
       const double elapsed = kill_elapsed_minutes(
@@ -330,32 +359,9 @@ BatchReport DaskCluster::run_batch(std::size_t num_tasks, const WorkFn& work,
     // second MPI_init-based training (section 2.2.5).
     const bool mpi_blocked = config_.job.placement == WorkerPlacement::kComputeNode &&
                              tasks_run_on_node_[slot.node] > 0;
-
-    if (mpi_blocked || result.training_error) {
-      // Fast failure: the dp subprocess exits almost immediately.
-      const double failure_minutes = std::min(1.0, result.sim_minutes);
-      slot.free_at += failure_minutes;
-      tr.status = TaskStatus::kTrainingError;
-      tr.cause = mpi_blocked ? FailureCause::kMpiRelaunch
-                 : result.cause != FailureCause::kNone ? result.cause
-                                                       : FailureCause::kTrainingFailure;
-      tr.sim_minutes = failure_minutes;
-      tr.finish_minute = clock_minutes_ + slot.free_at;
-    } else if (result.sim_minutes > config_.task_timeout_minutes) {
-      slot.free_at += config_.task_timeout_minutes;
-      tr.status = TaskStatus::kTimeout;
-      tr.cause = result.cause != FailureCause::kNone ? result.cause
-                                                     : FailureCause::kWallLimit;
-      tr.sim_minutes = config_.task_timeout_minutes;
-      tr.finish_minute = clock_minutes_ + slot.free_at;
-    } else {
-      slot.free_at += result.sim_minutes;
-      tr.status = TaskStatus::kOk;
-      tr.cause = FailureCause::kNone;
-      tr.sim_minutes = result.sim_minutes;
-      tr.fitness = result.fitness;
-      tr.finish_minute = clock_minutes_ + slot.free_at;
-    }
+    classify_attempt(result, mpi_blocked, config_.task_timeout_minutes, tr);
+    slot.free_at += tr.sim_minutes;
+    tr.finish_minute = clock_minutes_ + slot.free_at;
     ++tasks_run_on_node_[slot.node];
     makespan = std::max(makespan, slot.free_at);
     workers.push(slot);
@@ -403,31 +409,7 @@ void DaskCluster::stream_submit(std::size_t id, WorkResult result,
 
   // Payload-level scripted faults, keyed (session batch, task id) exactly as
   // run_batch keys (batch, task index).
-  for (const FaultEvent& event : config_.faults.events) {
-    if (event.batch != stream_batch_ || event.task != id) continue;
-    switch (event.kind) {
-      case FaultKind::kStraggler:
-        result.sim_minutes *= event.factor;
-        break;
-      case FaultKind::kCorruptPayload:
-        result.fitness.clear();
-        result.training_error = true;
-        result.cause = FailureCause::kPayloadCorruption;
-        break;
-      case FaultKind::kKillWorker:
-      case FaultKind::kSchedulerRestart:
-        break;
-    }
-  }
-  const auto scripted_kill = [&](std::size_t attempt) {
-    for (const FaultEvent& event : config_.faults.events) {
-      if (event.kind == FaultKind::kKillWorker && event.batch == stream_batch_ &&
-          event.task == id && event.attempt == attempt) {
-        return true;
-      }
-    }
-    return false;
-  };
+  apply_payload_faults(config_.faults, stream_batch_, id, result);
 
   InFlightTask entry;
   entry.id = id;
@@ -456,7 +438,7 @@ void DaskCluster::stream_submit(std::size_t id, WorkResult result,
     const double start = std::max(stream_free_at_[node], ready_at);
 
     // Node-failure injection (nannies disabled: the node never comes back).
-    const bool killed = scripted_kill(attempt);
+    const bool killed = scripted_kill(config_.faults, stream_batch_, id, attempt);
     if (killed || rng_.bernoulli(config_.node_failure_probability)) {
       const double run_cap =
           std::min(result.sim_minutes, config_.task_timeout_minutes);
@@ -480,29 +462,10 @@ void DaskCluster::stream_submit(std::size_t id, WorkResult result,
     const bool mpi_blocked =
         config_.job.placement == WorkerPlacement::kComputeNode &&
         tasks_run_on_node_[node] > 0;
-    double duration = 0.0;
-    if (mpi_blocked || result.training_error) {
-      duration = std::min(1.0, result.sim_minutes);
-      tr.status = TaskStatus::kTrainingError;
-      tr.cause = mpi_blocked ? FailureCause::kMpiRelaunch
-                 : result.cause != FailureCause::kNone
-                     ? result.cause
-                     : FailureCause::kTrainingFailure;
-    } else if (result.sim_minutes > config_.task_timeout_minutes) {
-      duration = config_.task_timeout_minutes;
-      tr.status = TaskStatus::kTimeout;
-      tr.cause = result.cause != FailureCause::kNone ? result.cause
-                                                     : FailureCause::kWallLimit;
-    } else {
-      duration = result.sim_minutes;
-      tr.status = TaskStatus::kOk;
-      tr.cause = FailureCause::kNone;
-      tr.fitness = result.fitness;
-    }
-    tr.sim_minutes = duration;
+    classify_attempt(result, mpi_blocked, config_.task_timeout_minutes, tr);
     ++tasks_run_on_node_[node];
-    stream_free_at_[node] = start + duration;
-    entry.finish_at = start + duration;
+    stream_free_at_[node] = start + tr.sim_minutes;
+    entry.finish_at = start + tr.sim_minutes;
     break;
   }
   tr.finish_minute = clock_minutes_ + entry.finish_at;

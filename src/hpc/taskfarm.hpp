@@ -104,9 +104,10 @@ enum class FaultKind : std::uint8_t {
 };
 
 /// One scripted fault.  `batch` counts run_batch() calls on the cluster
-/// (generation index when driven by Nsga2Driver); `task` is the index within
-/// the batch; `attempt` lets kill events target retries (schedule kills at
-/// attempts 1..max_attempts to deterministically exhaust the retry budget).
+/// (the generation index under the generational engine); `task` is the
+/// index within the batch; `attempt` lets kill events target retries
+/// (schedule kills at attempts 1..max_attempts to deterministically exhaust
+/// the retry budget).
 struct FaultEvent {
   FaultKind kind = FaultKind::kKillWorker;
   std::size_t batch = 0;
@@ -121,6 +122,28 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
   bool empty() const { return events.empty(); }
 };
+
+/// True when `plan` scripts a kKillWorker for (batch, task, attempt); every
+/// cluster backend looks kills up here.
+bool scripted_kill(const FaultPlan& plan, std::size_t batch, std::size_t task,
+                   std::size_t attempt);
+
+/// The simulated payload faults `plan` scripts for (batch, task), in plan
+/// order: a straggler multiplies the runtime, corruption turns the result
+/// into a payload-corruption training error.
+void apply_payload_faults(const FaultPlan& plan, std::size_t batch,
+                          std::size_t task, WorkResult& result);
+
+/// Marks a payload result corrupt (fault-plan kCorruptPayload).
+void corrupt_payload(WorkResult& result);
+
+/// The attempt classifier every cluster backend shares: a reported failure,
+/// or the MPI-relaunch block, fails fast (at most one minute) and beats the
+/// timeout check, which beats success.  Sets `report`'s status, cause and
+/// sim_minutes (the time the attempt holds its node), and its fitness on
+/// success.
+void classify_attempt(const WorkResult& result, bool mpi_blocked,
+                      double task_timeout_minutes, TaskReport& report);
 
 /// Farm configuration.
 struct FarmConfig {

@@ -74,8 +74,9 @@ enum class RunPhase {
 std::string to_string(RunPhase phase);
 RunPhase run_phase_from_string(const std::string& name);
 
-/// One HPO run submission: the input.json-shaped slice of AsyncDriverConfig
-/// the scheduler exposes, plus multiplexing knobs (weight, max_in_flight).
+/// One HPO run submission: the input.json-shaped slice of core::EngineConfig
+/// (steady-state mode) the scheduler exposes, plus multiplexing knobs
+/// (weight, max_in_flight).
 struct RunSpec {
   std::string name;                  // [A-Za-z0-9_-]+, unique per scheduler
   std::uint64_t seed = 0;

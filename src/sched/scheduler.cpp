@@ -290,8 +290,7 @@ std::size_t Scheduler::resume_all() {
       const util::Json submission =
           util::Json::parse(util::read_file(spec_path));
       Found item;
-      item.order =
-          static_cast<std::size_t>(submission.at("order").as_number());
+      item.order = submission.uint_at("order");
       item.spec = run_spec_from_json(submission.at("spec"));
       item.dir = entry.path();
       found.push_back(std::move(item));

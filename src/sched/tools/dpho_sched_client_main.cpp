@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   try {
     if (args.has("--port")) {
-      port = static_cast<std::uint16_t>(args.get("--port", std::int64_t{0}));
+      port = static_cast<std::uint16_t>(args.get_count("--port", 0, 1, 65535));
     } else if (args.has("--port-file")) {
       const std::string text =
           util::read_file(args.get("--port-file", std::string()));

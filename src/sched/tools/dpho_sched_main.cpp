@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
   try {
     args.parse(argc, argv);
     backend = util::parse_backend_flags(args, backend_options);
-    options.scheduler.max_runs =
-        static_cast<std::size_t>(args.get("--max-runs", std::int64_t{8}));
+    options.scheduler.max_runs = args.get_count("--max-runs", 8, 1);
     options.step_wait_seconds = args.get("--step-wait", 0.002);
     if (args.has("--fault-plan")) {
       options.scheduler.farm.faults =

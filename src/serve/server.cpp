@@ -229,15 +229,19 @@ void Server::handle_eval(const Peer& connection, EvalRequest request) {
                      : "request queue is full");
       return;
     }
+    // Counted before the job becomes visible: an already-awake worker may
+    // pop it as soon as the lock drops, and it counts serve.replies before
+    // the reply reaches the client, so no snapshot shows more replies than
+    // requests.
+    obs::metrics().counter("serve.requests").add();
+    obs::metrics().counter("serve.frames").add(static_cast<std::int64_t>(batch));
+    batch_histogram().record(static_cast<double>(batch));
     queue_.push_back(Job{connection, std::move(request),
                          std::chrono::steady_clock::now()});
     obs::metrics().gauge("serve.queue_depth")
         .set(static_cast<double>(queue_.size()));
   }
   queue_cv_.notify_one();
-  obs::metrics().counter("serve.requests").add();
-  obs::metrics().counter("serve.frames").add(static_cast<std::int64_t>(batch));
-  batch_histogram().record(static_cast<double>(batch));
   obs::events().emit("serve.request",
                      {{"id", id}, {"model", model}, {"frames", batch}});
 }

@@ -62,8 +62,16 @@ int main(int argc, char** argv) {
       .add_flag("--partial-frame", "send a truncated frame and disconnect", false)
       .add_flag("--help", "show this message", false);
   const std::string usage_text = args.usage("dp_serve_client --port P");
+  std::uint16_t port = 0;
+  std::size_t batch = 0;
+  std::size_t requests = 0;
   try {
     args.parse(argc, argv);
+    if (args.has("--port")) {
+      port = static_cast<std::uint16_t>(args.get_count("--port", 0, 1, 65535));
+    }
+    batch = args.get_count("--batch", 4, 1);
+    requests = args.get_count("--requests", 8);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dp_serve_client: %s\n%s", e.what(), usage_text.c_str());
     return 2;
@@ -77,10 +85,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto port = static_cast<std::uint16_t>(args.get("--port", std::int64_t{0}));
-  const auto batch = static_cast<std::size_t>(args.get("--batch", std::int64_t{4}));
-  const auto requests =
-      static_cast<std::size_t>(args.get("--requests", std::int64_t{8}));
   const bool want_forces = args.has("--forces");
   const double box = args.get("--box", 7.0);
   const bool quiet = args.has("--quiet");

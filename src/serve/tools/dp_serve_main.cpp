@@ -20,6 +20,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -60,13 +61,11 @@ int main(int argc, char** argv) {
   try {
     args.parse(argc, argv);
     backend = util::parse_backend_flags(args, backend_options);
-    options.cache_capacity =
-        static_cast<std::size_t>(args.get("--cache", std::int64_t{4}));
-    options.max_queue =
-        static_cast<std::size_t>(args.get("--max-queue", std::int64_t{64}));
-    options.max_frame_bytes = static_cast<std::uint32_t>(args.get(
-        "--max-frame-bytes",
-        static_cast<std::int64_t>(hpc::net::kMaxFramePayload)));
+    options.cache_capacity = args.get_count("--cache", 4, 1);
+    options.max_queue = args.get_count("--max-queue", 64, 1);
+    options.max_frame_bytes = static_cast<std::uint32_t>(
+        args.get_count("--max-frame-bytes", hpc::net::kMaxFramePayload, 1,
+                       std::numeric_limits<std::uint32_t>::max()));
     options.debug_delay_seconds = args.get("--debug-delay", 0.0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dp_serve: %s\n%s", e.what(), usage_text.c_str());

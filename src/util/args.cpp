@@ -77,6 +77,21 @@ std::int64_t ArgParser::get(const std::string& name, std::int64_t fallback) cons
   return value;
 }
 
+std::size_t ArgParser::get_count(const std::string& name, std::size_t fallback,
+                                 std::size_t min, std::size_t max) const {
+  const std::int64_t value = get(name, static_cast<std::int64_t>(fallback));
+  if (value < 0 || static_cast<std::size_t>(value) < min ||
+      static_cast<std::size_t>(value) > max) {
+    const std::string range =
+        max == kMaxCount ? ">= " + std::to_string(min)
+                         : "in [" + std::to_string(min) + ", " +
+                               std::to_string(max) + "]";
+    throw ParseError("flag " + name + " expects an integer " + range +
+                     ", got " + std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 void add_backend_flags(ArgParser& parser, const BackendFlagOptions& options) {
   if (options.cluster) {
     parser.add_flag("--cluster",
@@ -94,21 +109,6 @@ void add_backend_flags(ArgParser& parser, const BackendFlagOptions& options) {
                   "progress units between metrics snapshots, default 0 (off)");
 }
 
-namespace {
-
-std::size_t count_flag(const ArgParser& parser, const std::string& name,
-                       std::size_t fallback) {
-  const std::int64_t value =
-      parser.get(name, static_cast<std::int64_t>(fallback));
-  if (value < 0) {
-    throw ParseError("flag " + name + " expects a non-negative count, got " +
-                     std::to_string(value));
-  }
-  return static_cast<std::size_t>(value);
-}
-
-}  // namespace
-
 BackendFlags parse_backend_flags(const ArgParser& parser,
                                  const BackendFlagOptions& options) {
   BackendFlags flags;
@@ -119,12 +119,12 @@ BackendFlags parse_backend_flags(const ArgParser& parser,
       throw ParseError("flag --cluster expects sim or process, got " +
                        flags.cluster);
     }
-    flags.workers = count_flag(parser, "--workers", 0);
+    flags.workers = parser.get_count("--workers", 0);
     flags.worker_binary = parser.get("--worker-binary", std::string());
   }
-  flags.threads = count_flag(parser, "--threads", options.default_threads);
+  flags.threads = parser.get_count("--threads", options.default_threads);
   flags.metrics_out = parser.get("--metrics-out", std::string());
-  flags.metrics_interval = count_flag(parser, "--metrics-interval", 0);
+  flags.metrics_interval = parser.get_count("--metrics-interval", 0);
   return flags;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,6 +26,14 @@ class ArgParser {
   std::string get(const std::string& name, const std::string& fallback) const;
   double get(const std::string& name, double fallback) const;
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
+
+  /// Largest value get_count accepts: the integer reader is 64-bit signed.
+  static constexpr std::size_t kMaxCount = std::numeric_limits<std::int64_t>::max();
+
+  /// An integer flag that must lie in the inclusive range [min, max]; any
+  /// other value, or a non-integer, throws ParseError naming the flag.
+  std::size_t get_count(const std::string& name, std::size_t fallback,
+                        std::size_t min = 0, std::size_t max = kMaxCount) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -110,6 +110,20 @@ double Json::number_or(const std::string& key, double fallback) const {
   return (found != nullptr && found->is_number()) ? found->as_number() : fallback;
 }
 
+std::uint64_t Json::uint_at(const std::string& key) const {
+  const Json& value = at(key);
+  try {
+    return value.as_uint();
+  } catch (const ValueError&) {
+    throw ValueError("json field " + key + " must be an integer in [0, 2^64), got " +
+                     value.dump());
+  }
+}
+
+std::uint64_t Json::uint_or(const std::string& key, std::uint64_t fallback) const {
+  return contains(key) ? uint_at(key) : fallback;
+}
+
 std::string Json::string_or(const std::string& key, const std::string& fallback) const {
   if (!is_object()) return fallback;
   const Json* found = as_object().find(key);

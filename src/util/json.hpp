@@ -86,6 +86,10 @@ class Json {
   const Json& at(const std::string& key) const;
   /// Object lookup with default.
   double number_or(const std::string& key, double fallback) const;
+  /// Object member read through as_uint; the ValueError names the key.
+  /// uint_or returns `fallback` only when the key is absent.
+  std::uint64_t uint_at(const std::string& key) const;
+  std::uint64_t uint_or(const std::string& key, std::uint64_t fallback) const;
   std::string string_or(const std::string& key, const std::string& fallback) const;
   bool contains(const std::string& key) const;
 

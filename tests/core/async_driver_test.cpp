@@ -1,4 +1,6 @@
-#include "core/async_driver.hpp"
+// The steady-state schedule of core::EvolutionEngine (suite name kept from
+// the retired asynchronous driver).
+#include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,11 @@
 namespace dpho::core {
 namespace {
 
-AsyncDriverConfig small_config(std::size_t workers = 20, std::size_t budget = 140) {
-  AsyncDriverConfig config;
+EngineConfig small_config(std::size_t workers = 20, std::size_t budget = 140) {
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
   config.num_workers = workers;
-  config.population_capacity = workers;
+  config.population_size = workers;
   config.total_evaluations = budget;
   return config;
 }
@@ -21,8 +24,8 @@ AsyncDriverConfig small_config(std::size_t workers = 20, std::size_t budget = 14
 TEST(AsyncDriver, CompletesExactBudget) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncSteadyStateDriver driver(small_config(), evaluator);
-  const RunRecord run = driver.run(1);
+  EvolutionEngine engine(small_config(), evaluator);
+  const RunRecord run = engine.run(1);
   EXPECT_EQ(run.mode, ScheduleMode::kSteadyState);
   EXPECT_EQ(run.total_evaluations(), 140u);
   EXPECT_EQ(run.final_population.size(), 20u);
@@ -37,8 +40,8 @@ TEST(AsyncDriver, CompletesExactBudget) {
 TEST(AsyncDriver, DeterministicForSeed) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncSteadyStateDriver a(small_config(), evaluator);
-  AsyncSteadyStateDriver b(small_config(), evaluator);
+  EvolutionEngine a(small_config(), evaluator);
+  EvolutionEngine b(small_config(), evaluator);
   const RunRecord ra = a.run(5);
   const RunRecord rb = b.run(5);
   const std::vector<EvalRecord> ea_ = ra.all_evaluations();
@@ -54,8 +57,8 @@ TEST(AsyncDriver, DeterministicForSeed) {
 TEST(AsyncDriver, QualityImprovesOverCompletions) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncSteadyStateDriver driver(small_config(30, 300), evaluator);
-  const RunRecord run = driver.run(3);
+  EvolutionEngine engine(small_config(30, 300), evaluator);
+  const RunRecord run = engine.run(3);
   const std::vector<EvalRecord> evaluations = run.all_evaluations();
   const auto median_force = [&](std::size_t begin, std::size_t end) {
     std::vector<double> forces;
@@ -74,8 +77,8 @@ TEST(AsyncDriver, HighUtilizationDespiteHeterogeneousRuntimes) {
   // barrier the workers stay almost always busy.
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncSteadyStateDriver driver(small_config(25, 250), evaluator);
-  const RunRecord run = driver.run(7);
+  EvolutionEngine engine(small_config(25, 250), evaluator);
+  const RunRecord run = engine.run(7);
   EXPECT_GT(run.busy_fraction, 0.9);
 }
 
@@ -87,16 +90,14 @@ TEST(AsyncDriver, FasterThanGenerationalAtEqualBudget) {
   const Evaluator& evaluator = *evaluator_ptr;
   const std::size_t workers = 40;
 
-  DriverConfig generational;
+  EngineConfig generational;
   generational.population_size = workers;
   generational.generations = 6;
   generational.farm.real_threads = 2;
-  Nsga2Driver sync_driver(generational, evaluator);
-  const RunRecord sync_run = sync_driver.run(9);
+  const RunRecord sync_run = EvolutionEngine(generational, evaluator).run(9);
 
-  AsyncDriverConfig async = small_config(workers, workers * 7);
-  AsyncSteadyStateDriver async_driver(async, evaluator);
-  const RunRecord async_run = async_driver.run(9);
+  const RunRecord async_run =
+      EvolutionEngine(small_config(workers, workers * 7), evaluator).run(9);
 
   EXPECT_LT(async_run.job_minutes, sync_run.job_minutes);
 }
@@ -104,9 +105,8 @@ TEST(AsyncDriver, FasterThanGenerationalAtEqualBudget) {
 TEST(AsyncDriver, FailuresGetMaxIntAndAreCounted) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncDriverConfig config = small_config(20, 200);
-  AsyncSteadyStateDriver driver(config, evaluator);
-  const RunRecord run = driver.run(11);
+  EvolutionEngine engine(small_config(20, 200), evaluator);
+  const RunRecord run = engine.run(11);
   std::size_t observed = 0;
   for (const EvalRecord& record : run.all_evaluations()) {
     if (record.status != ea::EvalStatus::kOk) {
@@ -120,8 +120,8 @@ TEST(AsyncDriver, FailuresGetMaxIntAndAreCounted) {
 TEST(AsyncDriver, WaveMakespansPartitionTheJobClock) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncSteadyStateDriver driver(small_config(), evaluator);
-  const RunRecord run = driver.run(13);
+  EvolutionEngine engine(small_config(), evaluator);
+  const RunRecord run = engine.run(13);
   // Waves are chunks of completions in delivery order; their makespans tile
   // the session, so they sum to (at most) the job clock.
   double wave_sum = 0.0;
@@ -136,11 +136,15 @@ TEST(AsyncDriver, WaveMakespansPartitionTheJobClock) {
 TEST(AsyncDriver, Validation) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncDriverConfig zero_workers = small_config();
-  zero_workers.num_workers = 0;
-  EXPECT_THROW(AsyncSteadyStateDriver(zero_workers, evaluator), util::ValueError);
-  AsyncDriverConfig tiny_budget = small_config(20, 10);
-  EXPECT_THROW(AsyncSteadyStateDriver(tiny_budget, evaluator), util::ValueError);
+  EngineConfig zero_population = small_config();
+  zero_population.population_size = 0;
+  EXPECT_THROW(EvolutionEngine(zero_population, evaluator), util::ValueError);
+  // num_workers == 0 means one worker per archive slot, not zero workers.
+  EngineConfig default_workers = small_config();
+  default_workers.num_workers = 0;
+  EXPECT_NO_THROW(EvolutionEngine(default_workers, evaluator));
+  EngineConfig tiny_budget = small_config(20, 10);
+  EXPECT_THROW(EvolutionEngine(tiny_budget, evaluator), util::ValueError);
 }
 
 }  // namespace

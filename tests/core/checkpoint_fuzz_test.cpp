@@ -2,7 +2,8 @@
 // write leaves behind, CheckpointManager::load() must either resume from a
 // complete checkpoint or return nullopt -- never crash, hang, or hand back a
 // half-parsed state.  Covers schema-2 (current) and schema-1 (legacy
-// generational) documents under truncation and bit flips.
+// generational) documents under truncation and bit flips, and every unsigned
+// field of both modes under the codec fuzz's number mutations.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "codec_fuzz.hpp"
 #include "core/checkpoint.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -182,6 +184,62 @@ TEST(CheckpointFuzz, UnsupportedSchemaIsRejectedNotResumed) {
     json["schema"] = schema;
     EXPECT_FALSE(load_from(tmp.path() / "ck", json.dump()).has_value())
         << "schema " << schema;
+  }
+}
+
+TEST(CheckpointFuzz, EveryUnsignedFieldRejectsNegativeHugeAndFractionalValues) {
+  // Counts and ids go through Json::as_uint: -1 must not wrap to 2^64-1, and
+  // 1e30 or 2.5 must not reach an undefined cast.  The steady-state document
+  // carries an open stream session, so its farm fields are covered too.
+  using test_support::FieldPath;
+  for (const ScheduleMode mode :
+       {ScheduleMode::kGenerational, ScheduleMode::kSteadyState}) {
+    SCOPED_TRACE(to_string(mode));
+    DriverCheckpoint cp = make_checkpoint(mode);
+    EvalRecord record;
+    record.genome = {0.004, 0.001, 3.0, 2.0, 2.3, 4.6, 4.2};
+    record.fitness = {0.01, 0.3};
+    record.attempts = 2;
+    cp.generations[0].evaluated.push_back(record);
+    std::vector<FieldPath> fields = {
+        {"schema"},
+        {"completed_generations"},
+        {"parents", "0", "eval_attempts"},
+        {"farm", "live_workers"},
+        {"farm", "batches_run"},
+        {"generations", "0", "failures"},
+        {"generations", "0", "node_failures"},
+        {"generations", "0", "evaluated", "0", "attempts"}};
+    if (mode == ScheduleMode::kSteadyState) {
+      cp.farm.stream_active = true;
+      cp.farm.stream_batch = 1;
+      cp.farm.stream_node_failures = 1;
+      cp.farm.stream_free_at = {60.0, 75.0};
+      hpc::InFlightTask task;
+      task.id = 5;
+      task.report.attempts = 2;
+      task.report.payload_attempts = 1;
+      task.report.node = 3;
+      cp.farm.stream_in_flight.push_back(task);
+      cp.farm.stream_delivered.push_back(hpc::StreamCompletion{4, task.report});
+      for (FieldPath path : std::vector<FieldPath>{
+               {"births"},
+               {"wave_node_failures_base"},
+               {"in_flight", "0", "id"},
+               {"in_flight", "0", "individual", "eval_attempts"},
+               {"farm", "stream_batch"},
+               {"farm", "stream_node_failures"},
+               {"farm", "stream_scheduler_restarts"},
+               {"farm", "stream_in_flight", "0", "id"},
+               {"farm", "stream_in_flight", "0", "report", "attempts"},
+               {"farm", "stream_in_flight", "0", "report", "payload_attempts"},
+               {"farm", "stream_in_flight", "0", "report", "node"},
+               {"farm", "stream_delivered", "0", "id"}}) {
+        fields.push_back(std::move(path));
+      }
+    }
+    test_support::fuzz_integer_fields(CheckpointManager::to_json(cp), fields,
+                                      CheckpointManager::from_json);
   }
 }
 

@@ -1,10 +1,10 @@
-// The driver with a custom (non-7-gene) genome layout -- the hook the NAS
+// The engine with a custom (non-7-gene) genome layout -- the hook the NAS
 // extension uses.  A counting mock evaluator stands in for training.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 
 namespace dpho::core {
 namespace {
@@ -37,13 +37,13 @@ ea::Representation three_gene_layout() {
 
 TEST(CustomReprDriver, RunsWithThreeGeneGenome) {
   MockEvaluator evaluator;
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 10;
   config.generations = 3;
   config.representation = three_gene_layout();
   config.farm.real_threads = 2;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(1);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(1);
   EXPECT_EQ(evaluator.calls(), 40);  // 10 x (1 initial + 3 offspring waves)
   for (const EvalRecord& record : run.final_population) {
     EXPECT_EQ(record.genome.size(), 3u);
@@ -54,13 +54,13 @@ TEST(CustomReprDriver, RunsWithThreeGeneGenome) {
 
 TEST(CustomReprDriver, SelectionMinimizesBothToyObjectives) {
   MockEvaluator evaluator;
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 24;
   config.generations = 8;
   config.representation = three_gene_layout();
   config.farm.real_threads = 2;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(2);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(2);
   // Optimum is x=y=z=0 with fitness (0,0); survivors should be near it.
   double mean_f0 = 0.0;
   for (const EvalRecord& record : run.final_population) mean_f0 += record.fitness[0];
@@ -70,12 +70,12 @@ TEST(CustomReprDriver, SelectionMinimizesBothToyObjectives) {
 
 TEST(CustomReprDriver, DefaultLayoutStillSevenGenes) {
   MockEvaluator evaluator;  // never called with a valid genome size check here
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 4;
   config.generations = 0;
   config.farm.real_threads = 1;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(3);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(3);
   for (const EvalRecord& record : run.final_population) {
     EXPECT_EQ(record.genome.size(), 7u);
   }

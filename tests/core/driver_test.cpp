@@ -1,4 +1,6 @@
-#include "core/driver.hpp"
+// The generational schedule of core::EvolutionEngine (suite name kept from
+// the retired generational driver).
+#include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,8 +9,8 @@
 namespace dpho::core {
 namespace {
 
-DriverConfig small_config(std::size_t pop = 16, std::size_t gens = 3) {
-  DriverConfig config;
+EngineConfig small_config(std::size_t pop = 16, std::size_t gens = 3) {
+  EngineConfig config;
   config.population_size = pop;
   config.generations = gens;
   config.farm.real_threads = 2;
@@ -18,8 +20,8 @@ DriverConfig small_config(std::size_t pop = 16, std::size_t gens = 3) {
 TEST(Driver, ProducesExpectedGenerationStructure) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(12, 4), evaluator);
-  const RunRecord run = driver.run(1);
+  EvolutionEngine engine(small_config(12, 4), evaluator);
+  const RunRecord run = engine.run(1);
   ASSERT_EQ(run.generations.size(), 5u);  // gen 0 + 4
   for (std::size_t g = 0; g < run.generations.size(); ++g) {
     EXPECT_EQ(run.generations[g].generation, static_cast<int>(g));
@@ -31,8 +33,8 @@ TEST(Driver, ProducesExpectedGenerationStructure) {
 TEST(Driver, EveryEvaluatedIndividualHasFitnessAndUuid) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(), evaluator);
-  const RunRecord run = driver.run(2);
+  EvolutionEngine engine(small_config(), evaluator);
+  const RunRecord run = engine.run(2);
   std::set<std::string> uuids;
   for (const GenerationRecord& gen : run.generations) {
     for (const EvalRecord& record : gen.evaluated) {
@@ -49,10 +51,10 @@ TEST(Driver, FailuresGetMaxIntFitness) {
   // Crank failure injection so some evaluations fail.
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config(20, 2);
+  EngineConfig config = small_config(20, 2);
   config.farm.node_failure_probability = 0.25;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(3);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(3);
   std::size_t failures = 0;
   for (const GenerationRecord& gen : run.generations) {
     for (const EvalRecord& record : gen.evaluated) {
@@ -74,10 +76,10 @@ TEST(Driver, FailuresGetMaxIntFitness) {
 TEST(Driver, FinalPopulationNeverPrefersFailuresOverSolutions) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config(16, 3);
+  EngineConfig config = small_config(16, 3);
   config.farm.node_failure_probability = 0.05;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(4);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(4);
   // With plenty of successful candidates in the union, NSGA-II truncation
   // must not keep MAXINT individuals in the final parents.
   std::size_t failed_parents = 0;
@@ -90,8 +92,8 @@ TEST(Driver, FinalPopulationNeverPrefersFailuresOverSolutions) {
 TEST(Driver, SelectionImprovesMedianForceLoss) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(30, 5), evaluator);
-  const RunRecord run = driver.run(5);
+  EvolutionEngine engine(small_config(30, 5), evaluator);
+  const RunRecord run = engine.run(5);
   const auto median_force = [](const GenerationRecord& gen) {
     std::vector<double> forces;
     for (const EvalRecord& r : gen.evaluated) {
@@ -108,8 +110,8 @@ TEST(Driver, SelectionImprovesMedianForceLoss) {
 TEST(Driver, MutationStdAnnealedPerGeneration) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(8, 3), evaluator);
-  const RunRecord run = driver.run(6);
+  EvolutionEngine engine(small_config(8, 3), evaluator);
+  const RunRecord run = engine.run(6);
   // Recorded sigma vectors shrink by exactly 0.85 each generation after the
   // first reproduction.
   const auto& gens = run.generations;
@@ -125,10 +127,10 @@ TEST(Driver, MutationStdAnnealedPerGeneration) {
 TEST(Driver, AnnealingCanBeDisabled) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config(8, 3);
+  EngineConfig config = small_config(8, 3);
   config.anneal_enabled = false;
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(7);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(7);
   const auto& gens = run.generations;
   EXPECT_EQ(gens.front().mutation_std, gens.back().mutation_std);
 }
@@ -136,8 +138,8 @@ TEST(Driver, AnnealingCanBeDisabled) {
 TEST(Driver, DeterministicForSeed) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver a(small_config(10, 2), evaluator);
-  Nsga2Driver b(small_config(10, 2), evaluator);
+  EvolutionEngine a(small_config(10, 2), evaluator);
+  EvolutionEngine b(small_config(10, 2), evaluator);
   const RunRecord ra = a.run(11);
   const RunRecord rb = b.run(11);
   ASSERT_EQ(ra.final_population.size(), rb.final_population.size());
@@ -150,18 +152,18 @@ TEST(Driver, DeterministicForSeed) {
 TEST(Driver, SeedsProduceDifferentRuns) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(10, 2), evaluator);
-  const RunRecord a = driver.run(1);
-  const RunRecord b = driver.run(2);
+  EvolutionEngine engine(small_config(10, 2), evaluator);
+  const RunRecord a = engine.run(1);
+  const RunRecord b = engine.run(2);
   EXPECT_NE(a.final_population[0].fitness, b.final_population[0].fitness);
 }
 
 TEST(Driver, JobClockUnderTwelveHoursAtPaperScale) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config(100, 6);  // the paper's configuration
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(13);
+  EngineConfig config = small_config(100, 6);  // the paper's configuration
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(13);
   EXPECT_LT(run.job_minutes, 12 * 60.0);
   // 7 waves of <= ~80-minute trainings.
   EXPECT_GT(run.job_minutes, 7 * 30.0);
@@ -170,12 +172,12 @@ TEST(Driver, JobClockUnderTwelveHoursAtPaperScale) {
 TEST(Driver, SortBackendsProduceSameRun) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig deb_config = small_config(12, 3);
+  EngineConfig deb_config = small_config(12, 3);
   deb_config.sort_backend = moo::SortBackend::kFastNondominated;
-  DriverConfig ens_config = small_config(12, 3);
+  EngineConfig ens_config = small_config(12, 3);
   ens_config.sort_backend = moo::SortBackend::kRankOrdinal;
-  const RunRecord deb = Nsga2Driver(deb_config, evaluator).run(17);
-  const RunRecord ens = Nsga2Driver(ens_config, evaluator).run(17);
+  const RunRecord deb = EvolutionEngine(deb_config, evaluator).run(17);
+  const RunRecord ens = EvolutionEngine(ens_config, evaluator).run(17);
   ASSERT_EQ(deb.final_population.size(), ens.final_population.size());
   for (std::size_t i = 0; i < deb.final_population.size(); ++i) {
     EXPECT_EQ(deb.final_population[i].fitness, ens.final_population[i].fitness);
@@ -185,8 +187,8 @@ TEST(Driver, SortBackendsProduceSameRun) {
 TEST(Driver, RuntimesRecordedForAllEvaluations) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  Nsga2Driver driver(small_config(10, 2), evaluator);
-  const RunRecord run = driver.run(19);
+  EvolutionEngine engine(small_config(10, 2), evaluator);
+  const RunRecord run = engine.run(19);
   for (const GenerationRecord& gen : run.generations) {
     for (const EvalRecord& record : gen.evaluated) {
       EXPECT_GT(record.runtime_minutes, 0.0);

@@ -1,21 +1,18 @@
-// The unified EvolutionEngine: facade equivalence, shared per-evaluation
-// seeding, per-birth annealing, fault-record fidelity and trace export.
+// The unified EvolutionEngine: shared per-evaluation seeding, per-birth
+// annealing, fault-record fidelity, trace export and the resume checks.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <string>
 
-#include "core/async_driver.hpp"
-#include "core/experiment.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
 namespace dpho::core {
 namespace {
-
-std::string dump(const RunRecord& run) { return runs_to_json({run}).dump(); }
 
 TEST(DeriveEvalSeed, DeterministicAndSensitive) {
   const std::vector<double> genome = {0.1, 0.4, 6.0, 0.5, 1.0, 0.0, 1.0};
@@ -28,52 +25,6 @@ TEST(DeriveEvalSeed, DeterministicAndSensitive) {
   EXPECT_NE(seed, derive_eval_seed(42, 3, other));
 }
 
-TEST(EvolutionEngine, GenerationalFacadeIsAThinAlias) {
-  const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
-  const Evaluator& evaluator = *evaluator_ptr;
-
-  DriverConfig driver_config;
-  driver_config.population_size = 8;
-  driver_config.generations = 2;
-  driver_config.farm.real_threads = 2;
-  Nsga2Driver facade(driver_config, evaluator);
-  const RunRecord via_facade = facade.run(21);
-
-  EngineConfig engine_config;
-  engine_config.mode = ScheduleMode::kGenerational;
-  engine_config.population_size = 8;
-  engine_config.generations = 2;
-  engine_config.farm.real_threads = 2;
-  EvolutionEngine engine(engine_config, evaluator);
-  const RunRecord direct = engine.run(21);
-
-  EXPECT_EQ(via_facade.mode, ScheduleMode::kGenerational);
-  EXPECT_EQ(dump(via_facade), dump(direct));
-}
-
-TEST(EvolutionEngine, SteadyStateFacadeIsAThinAlias) {
-  const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
-  const Evaluator& evaluator = *evaluator_ptr;
-
-  AsyncDriverConfig driver_config;
-  driver_config.num_workers = 10;
-  driver_config.population_capacity = 10;
-  driver_config.total_evaluations = 40;
-  AsyncSteadyStateDriver facade(driver_config, evaluator);
-  const RunRecord via_facade = facade.run(22);
-
-  EngineConfig engine_config;
-  engine_config.mode = ScheduleMode::kSteadyState;
-  engine_config.population_size = 10;
-  engine_config.num_workers = 10;
-  engine_config.total_evaluations = 40;
-  EvolutionEngine engine(engine_config, evaluator);
-  const RunRecord direct = engine.run(22);
-
-  EXPECT_EQ(via_facade.mode, ScheduleMode::kSteadyState);
-  EXPECT_EQ(dump(via_facade), dump(direct));
-}
-
 TEST(EvolutionEngine, SteadyStateRecordsCarryAttemptsAndFailureCause) {
   // Regression: the old async driver's record building dropped attempts and
   // failure_cause.  Script one kill that retries (attempts > 1, still ok) and
@@ -81,9 +32,9 @@ TEST(EvolutionEngine, SteadyStateRecordsCarryAttemptsAndFailureCause) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
 
-  AsyncDriverConfig config;
-  config.num_workers = 10;
-  config.population_capacity = 10;
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
+  config.population_size = 10;
   config.total_evaluations = 40;
   const auto kill = [](std::size_t task, std::size_t attempt) {
     hpc::FaultEvent event;
@@ -95,8 +46,7 @@ TEST(EvolutionEngine, SteadyStateRecordsCarryAttemptsAndFailureCause) {
   };
   config.farm.faults.events = {kill(3, 1),                        // retried
                                kill(7, 1), kill(7, 2), kill(7, 3)};  // lost
-  AsyncSteadyStateDriver driver(config, evaluator);
-  const RunRecord run = driver.run(5);
+  const RunRecord run = EvolutionEngine(config, evaluator).run(5);
 
   const std::vector<EvalRecord> evaluations = run.all_evaluations();
   ASSERT_EQ(evaluations.size(), 40u);
@@ -122,16 +72,14 @@ TEST(EvolutionEngine, PerBirthAnnealMatchesGenerationalRate) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
 
-  AsyncDriverConfig config;
-  config.num_workers = 10;
-  config.population_capacity = 10;
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
+  config.population_size = 10;
   config.total_evaluations = 30;
-  AsyncSteadyStateDriver annealed(config, evaluator);
-  const RunRecord with_anneal = annealed.run(9);
+  const RunRecord with_anneal = EvolutionEngine(config, evaluator).run(9);
 
   config.anneal_enabled = false;
-  AsyncSteadyStateDriver flat(config, evaluator);
-  const RunRecord without_anneal = flat.run(9);
+  const RunRecord without_anneal = EvolutionEngine(config, evaluator).run(9);
 
   ASSERT_EQ(with_anneal.generations.size(), 3u);
   const std::vector<double>& final_sigma = with_anneal.generations.back().mutation_std;
@@ -158,49 +106,67 @@ TEST(EvolutionEngine, TraceExportWorksInBothModes) {
   const Evaluator& evaluator = *evaluator_ptr;
 
   util::TempDir sync_dir("engine-trace-sync");
-  DriverConfig driver_config;
-  driver_config.population_size = 6;
-  driver_config.generations = 1;
-  driver_config.farm.real_threads = 2;
-  driver_config.trace_dir = sync_dir.path();
-  Nsga2Driver(driver_config, evaluator).run(1);
+  EngineConfig sync_config;
+  sync_config.population_size = 6;
+  sync_config.generations = 1;
+  sync_config.farm.real_threads = 2;
+  sync_config.trace_dir = sync_dir.path();
+  EvolutionEngine(sync_config, evaluator).run(1);
   EXPECT_TRUE(std::filesystem::exists(sync_dir.path() / "trace-gen-0.csv"));
   EXPECT_TRUE(std::filesystem::exists(sync_dir.path() / "trace-gen-1.csv"));
   EXPECT_TRUE(std::filesystem::exists(sync_dir.path() / "gantt-gen-1.txt"));
 
   util::TempDir async_dir("engine-trace-async");
-  AsyncDriverConfig async_config;
-  async_config.num_workers = 6;
-  async_config.population_capacity = 6;
+  EngineConfig async_config;
+  async_config.mode = ScheduleMode::kSteadyState;
+  async_config.population_size = 6;
   async_config.total_evaluations = 12;
   async_config.trace_dir = async_dir.path();
-  AsyncSteadyStateDriver(async_config, evaluator).run(1);
+  EvolutionEngine(async_config, evaluator).run(1);
   EXPECT_TRUE(std::filesystem::exists(async_dir.path() / "trace-stream.csv"));
   EXPECT_TRUE(std::filesystem::exists(async_dir.path() / "gantt-stream.txt"));
 }
 
 TEST(EvolutionEngine, ResumeRejectsModeMismatch) {
-  // A generational checkpoint must not silently seed a steady-state run.
+  // A checkpoint of either schedule must not silently seed a run of the
+  // other: each direction throws before any evaluation.
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
 
-  util::TempDir dir("engine-mode-mismatch");
-  DriverConfig driver_config;
-  driver_config.population_size = 8;
-  driver_config.generations = 3;
-  driver_config.farm.real_threads = 2;
-  driver_config.checkpoint_dir = dir.path();
-  driver_config.halt_after_generation = 1;
-  Nsga2Driver(driver_config, evaluator).run(7);
+  EngineConfig generational;
+  generational.population_size = 8;
+  generational.generations = 3;
+  generational.farm.real_threads = 2;
+  EngineConfig steady_state = generational;
+  steady_state.mode = ScheduleMode::kSteadyState;
+  steady_state.total_evaluations = 32;
+  const auto expect_mode_mismatch = [&](const EngineConfig& config) {
+    try {
+      EvolutionEngine(config, evaluator).run(7);
+      ADD_FAILURE() << "resume accepted a checkpoint of the other mode";
+    } catch (const util::ValueError& e) {
+      EXPECT_NE(std::string(e.what()).find("mode mismatch"), std::string::npos)
+          << e.what();
+    }
+  };
 
-  AsyncDriverConfig async_config;
-  async_config.num_workers = 8;
-  async_config.population_capacity = 8;
-  async_config.total_evaluations = 32;
-  async_config.checkpoint_dir = dir.path();
-  async_config.resume = true;
-  AsyncSteadyStateDriver resumed(async_config, evaluator);
-  EXPECT_THROW(resumed.run(7), util::ValueError);
+  util::TempDir generational_dir("engine-mode-mismatch-gen");
+  generational.checkpoint_dir = generational_dir.path();
+  generational.halt_after_generation = 1;
+  EvolutionEngine(generational, evaluator).run(7);
+  steady_state.checkpoint_dir = generational_dir.path();
+  steady_state.resume = true;
+  expect_mode_mismatch(steady_state);
+
+  util::TempDir steady_dir("engine-mode-mismatch-steady");
+  steady_state.checkpoint_dir = steady_dir.path();
+  steady_state.resume = false;
+  steady_state.halt_after_evaluations = 12;
+  EvolutionEngine(steady_state, evaluator).run(7);
+  generational.checkpoint_dir = steady_dir.path();
+  generational.halt_after_generation.reset();
+  generational.resume = true;
+  expect_mode_mismatch(generational);
 }
 
 }  // namespace

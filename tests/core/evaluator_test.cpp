@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "codec_fuzz.hpp"
+#include "core/eval_config_io.hpp"
 #include "dp/lcurve.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
@@ -59,6 +61,20 @@ TEST(SurrogateEvaluator, DeterministicForSeed) {
   const EvalOutcome b = evaluator.evaluate(individual, 99);
   EXPECT_EQ(a.fitness, b.fitness);
   EXPECT_DOUBLE_EQ(a.runtime_minutes, b.runtime_minutes);
+}
+
+TEST(EvalConfigIo, UnsignedFieldsRejectNegativeHugeAndFractionalValues) {
+  // The eval config a worker receives in its init frame: each count goes
+  // through Json::as_uint, so -1, 1e30 and 2.5 are errors, not casts.
+  test_support::fuzz_integer_fields(
+      eval_backend_config_to_json(EvalBackendConfig{}),
+      {{"surrogate", "num_workers"}}, eval_backend_config_from_json);
+  EvalBackendConfig subprocess;
+  subprocess.backend = EvalBackend::kSubprocess;
+  test_support::fuzz_integer_fields(
+      eval_backend_config_to_json(subprocess),
+      {{"subprocess", "trainer_threads"}, {"subprocess", "max_attempts"}},
+      eval_backend_config_from_json);
 }
 
 class RealEvaluatorSuite : public ::testing::Test {

@@ -1,6 +1,7 @@
 // Lossless experiment persistence: run records to JSON and back.
 #include <gtest/gtest.h>
 
+#include "codec_fuzz.hpp"
 #include "core/analysis.hpp"
 #include "core/experiment.hpp"
 #include "util/error.hpp"
@@ -11,9 +12,9 @@ namespace {
 
 std::vector<RunRecord> small_experiment() {
   ExperimentConfig config;
-  config.driver.population_size = 10;
-  config.driver.generations = 2;
-  config.driver.farm.real_threads = 2;
+  config.engine.population_size = 10;
+  config.engine.generations = 2;
+  config.engine.farm.real_threads = 2;
   config.seeds = {1, 2};
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
@@ -62,11 +63,11 @@ TEST(Persistence, FileRoundTripSupportsReanalysis) {
 
 TEST(Persistence, PreservesFailureRecords) {
   ExperimentConfig config;
-  config.driver.population_size = 20;
-  config.driver.generations = 1;
-  config.driver.farm.node_failure_probability = 0.2;
-  config.driver.farm.max_attempts = 1;  // node death == failed evaluation
-  config.driver.farm.real_threads = 2;
+  config.engine.population_size = 20;
+  config.engine.generations = 1;
+  config.engine.farm.node_failure_probability = 0.2;
+  config.engine.farm.max_attempts = 1;  // node death == failed evaluation
+  config.engine.farm.real_threads = 2;
   config.seeds = {9};
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
@@ -83,6 +84,19 @@ TEST(Persistence, RejectsWrongFormat) {
   EXPECT_THROW(runs_from_json(util::Json::parse("{\"format\": \"other\"}")),
                util::ParseError);
   EXPECT_THROW(runs_from_json(util::Json::parse("{}")), util::ParseError);
+}
+
+TEST(Persistence, UnsignedFieldsRejectNegativeHugeAndFractionalValues) {
+  // Counts and seeds go through Json::as_uint: -1 must not wrap to 2^64-1,
+  // and 1e30 or 2.5 must not reach an undefined cast.
+  test_support::fuzz_integer_fields(
+      runs_to_json(small_experiment()),
+      {{"runs", "0", "seed"},
+       {"runs", "0", "generations", "0", "failures"},
+       {"runs", "0", "generations", "0", "node_failures"},
+       {"runs", "0", "generations", "1", "evaluated", "0", "attempts"},
+       {"runs", "1", "final_population", "0", "attempts"}},
+      runs_from_json);
 }
 
 }  // namespace

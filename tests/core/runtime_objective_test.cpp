@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/analysis.hpp"
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "util/csv.hpp"
 
@@ -15,13 +15,13 @@ RunRecord run_with_runtime_objective(std::uint64_t seed, std::size_t pop = 24,
                                      std::size_t gens = 4) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = pop;
   config.generations = gens;
   config.include_runtime_objective = true;
   config.farm.real_threads = 2;
-  Nsga2Driver driver(config, evaluator);
-  return driver.run(seed);
+  EvolutionEngine engine(config, evaluator);
+  return engine.run(seed);
 }
 
 TEST(RuntimeObjective, FitnessHasThreeComponents) {
@@ -53,11 +53,11 @@ TEST(RuntimeObjective, RuntimePressureKeepsFasterSolutions) {
   // faster (small-rcut) solutions that the 2-objective run discards.
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig two_obj;
+  EngineConfig two_obj;
   two_obj.population_size = 40;
   two_obj.generations = 5;
   two_obj.farm.real_threads = 2;
-  const RunRecord without = Nsga2Driver(two_obj, evaluator).run(3);
+  const RunRecord without = EvolutionEngine(two_obj, evaluator).run(3);
   const RunRecord with = run_with_runtime_objective(3, 40, 5);
 
   const auto min_runtime = [](const RunRecord& run) {

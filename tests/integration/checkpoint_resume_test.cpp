@@ -3,9 +3,8 @@
 // uninterrupted run (compared through the lossless JSON round-trip).
 #include <gtest/gtest.h>
 
-#include "core/async_driver.hpp"
 #include "core/checkpoint.hpp"
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -13,8 +12,8 @@
 namespace dpho::core {
 namespace {
 
-DriverConfig small_config() {
-  DriverConfig config;
+EngineConfig small_config() {
+  EngineConfig config;
   config.population_size = 8;
   config.generations = 4;
   config.farm.real_threads = 2;
@@ -37,22 +36,19 @@ TEST(CheckpointResume, ResumedRunEqualsUninterruptedRun) {
   const Evaluator& evaluator = *evaluator_ptr;
   const std::uint64_t seed = 7;
 
-  DriverConfig config = small_config();
-  Nsga2Driver uninterrupted(config, evaluator);
-  const RunRecord full = uninterrupted.run(seed);
+  EngineConfig config = small_config();
+  const RunRecord full = EvolutionEngine(config, evaluator).run(seed);
 
   util::TempDir dir("resume-basic");
   config.checkpoint_dir = dir.path();
   config.halt_after_generation = 2;  // "preempted" after wave 2
-  Nsga2Driver halted(config, evaluator);
-  const RunRecord partial = halted.run(seed);
+  const RunRecord partial = EvolutionEngine(config, evaluator).run(seed);
   EXPECT_EQ(partial.generations.size(), 3u);  // waves 0..2
   expect_checkpoint_at(dir.path(), 2);
 
   config.halt_after_generation.reset();
   config.resume = true;
-  Nsga2Driver resumed_driver(config, evaluator);
-  const RunRecord resumed = resumed_driver.run(seed);
+  const RunRecord resumed = EvolutionEngine(config, evaluator).run(seed);
 
   EXPECT_EQ(resumed.generations.size(), full.generations.size());
   EXPECT_EQ(dump(resumed), dump(full));
@@ -65,21 +61,19 @@ TEST(CheckpointResume, ResumeSurvivesNodeFailures) {
   const Evaluator& evaluator = *evaluator_ptr;
   const std::uint64_t seed = 3;
 
-  DriverConfig config = small_config();
+  EngineConfig config = small_config();
   config.farm.node_failure_probability = 0.02;
-  Nsga2Driver uninterrupted(config, evaluator);
-  const RunRecord full = uninterrupted.run(seed);
+  const RunRecord full = EvolutionEngine(config, evaluator).run(seed);
 
   util::TempDir dir("resume-faults");
   config.checkpoint_dir = dir.path();
   config.halt_after_generation = 1;
-  Nsga2Driver(config, evaluator).run(seed);
+  EvolutionEngine(config, evaluator).run(seed);
   expect_checkpoint_at(dir.path(), 1);
 
   config.halt_after_generation.reset();
   config.resume = true;
-  Nsga2Driver resumed_driver(config, evaluator);
-  const RunRecord resumed = resumed_driver.run(seed);
+  const RunRecord resumed = EvolutionEngine(config, evaluator).run(seed);
   EXPECT_EQ(dump(resumed), dump(full));
 }
 
@@ -88,54 +82,53 @@ TEST(CheckpointResume, HaltAtGenerationZeroResumes) {
   const Evaluator& evaluator = *evaluator_ptr;
   const std::uint64_t seed = 11;
 
-  DriverConfig config = small_config();
-  Nsga2Driver uninterrupted(config, evaluator);
-  const RunRecord full = uninterrupted.run(seed);
+  EngineConfig config = small_config();
+  const RunRecord full = EvolutionEngine(config, evaluator).run(seed);
 
   util::TempDir dir("resume-gen0");
   config.checkpoint_dir = dir.path();
   config.halt_after_generation = 0;  // killed right after the initial wave
-  Nsga2Driver(config, evaluator).run(seed);
+  EvolutionEngine(config, evaluator).run(seed);
   expect_checkpoint_at(dir.path(), 0);
 
   config.halt_after_generation.reset();
   config.resume = true;
-  const RunRecord resumed = Nsga2Driver(config, evaluator).run(seed);
+  const RunRecord resumed = EvolutionEngine(config, evaluator).run(seed);
   EXPECT_EQ(dump(resumed), dump(full));
 }
 
 TEST(CheckpointResume, ResumeWithoutCheckpointStartsFresh) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config();
-  const RunRecord full = Nsga2Driver(config, evaluator).run(5);
+  EngineConfig config = small_config();
+  const RunRecord full = EvolutionEngine(config, evaluator).run(5);
 
   util::TempDir dir("resume-fresh");
   config.checkpoint_dir = dir.path();
   config.resume = true;  // nothing to resume from: a plain full run
-  const RunRecord run = Nsga2Driver(config, evaluator).run(5);
+  const RunRecord run = EvolutionEngine(config, evaluator).run(5);
   EXPECT_EQ(dump(run), dump(full));
 }
 
 TEST(CheckpointResume, SeedMismatchIsRejected) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  DriverConfig config = small_config();
+  EngineConfig config = small_config();
   util::TempDir dir("resume-seed");
   config.checkpoint_dir = dir.path();
   config.halt_after_generation = 1;
-  Nsga2Driver(config, evaluator).run(7);
+  EvolutionEngine(config, evaluator).run(7);
 
   config.halt_after_generation.reset();
   config.resume = true;
-  Nsga2Driver other(config, evaluator);
+  EvolutionEngine other(config, evaluator);
   EXPECT_THROW(other.run(8), util::ValueError);  // directory belongs to seed 7
 }
 
-AsyncDriverConfig small_async_config() {
-  AsyncDriverConfig config;
-  config.num_workers = 8;
-  config.population_capacity = 8;
+EngineConfig small_async_config() {
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
+  config.population_size = 8;
   config.total_evaluations = 40;  // 5 waves of 8 completions
   return config;
 }
@@ -170,16 +163,14 @@ TEST(CheckpointResume, SteadyStateResumeMidWaveEqualsUninterrupted) {
   const Evaluator& evaluator = *evaluator_ptr;
   const std::uint64_t seed = 13;
 
-  AsyncDriverConfig config = small_async_config();
+  EngineConfig config = small_async_config();
   config.farm.faults = stream_faults();
-  AsyncSteadyStateDriver uninterrupted(config, evaluator);
-  const RunRecord full = uninterrupted.run(seed);
+  const RunRecord full = EvolutionEngine(config, evaluator).run(seed);
 
   util::TempDir dir("resume-steady");
   config.checkpoint_dir = dir.path();
   config.halt_after_evaluations = 19;  // mid-wave preemption
-  AsyncSteadyStateDriver halted(config, evaluator);
-  const RunRecord partial = halted.run(seed);
+  const RunRecord partial = EvolutionEngine(config, evaluator).run(seed);
   EXPECT_EQ(partial.generations.size(), 2u);  // waves 0 and 1 closed
   {
     const auto checkpoint = CheckpointManager(dir.path()).load();
@@ -191,8 +182,7 @@ TEST(CheckpointResume, SteadyStateResumeMidWaveEqualsUninterrupted) {
 
   config.halt_after_evaluations.reset();
   config.resume = true;
-  AsyncSteadyStateDriver resumed_driver(config, evaluator);
-  const RunRecord resumed = resumed_driver.run(seed);
+  const RunRecord resumed = EvolutionEngine(config, evaluator).run(seed);
 
   EXPECT_EQ(dump(resumed), dump(full));
   EXPECT_EQ(records_csv({resumed}), records_csv({full}));
@@ -201,39 +191,54 @@ TEST(CheckpointResume, SteadyStateResumeMidWaveEqualsUninterrupted) {
 TEST(CheckpointResume, SteadyStateSeedMismatchIsRejected) {
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
-  AsyncDriverConfig config = small_async_config();
+  EngineConfig config = small_async_config();
   util::TempDir dir("resume-steady-seed");
   config.checkpoint_dir = dir.path();
   config.halt_after_evaluations = 10;
-  AsyncSteadyStateDriver(config, evaluator).run(7);
+  EvolutionEngine(config, evaluator).run(7);
 
   config.halt_after_evaluations.reset();
   config.resume = true;
-  AsyncSteadyStateDriver other(config, evaluator);
+  EvolutionEngine other(config, evaluator);
   EXPECT_THROW(other.run(8), util::ValueError);  // directory belongs to seed 7
 }
 
 TEST(CheckpointResume, ExperimentRunnerResumesEverySeed) {
+  // Each seed checkpoints into its own seed-<seed> directory under the
+  // engine's checkpoint_dir, in either schedule mode: the generational run
+  // halts after wave 1, the steady-state one mid-wave after 13 completions.
   const auto evaluator_ptr = make_evaluator(EvalBackendConfig{});
   const Evaluator& evaluator = *evaluator_ptr;
 
-  ExperimentConfig config;
-  config.driver = small_config();
-  config.driver.generations = 3;
-  config.seeds = {1, 2};
-  const std::vector<RunRecord> full = ExperimentRunner(config, evaluator).run_all();
+  EngineConfig generational = small_config();
+  generational.generations = 3;
+  generational.halt_after_generation = 1;
+  EngineConfig steady_state = small_async_config();
+  steady_state.halt_after_evaluations = 13;
+  for (const auto& [engine, halted_at] :
+       {std::pair{generational, std::size_t{1}},
+        std::pair{steady_state, std::size_t{13}}}) {
+    SCOPED_TRACE(to_string(engine.mode));
+    ExperimentConfig config;
+    config.engine = engine;
+    config.engine.halt_after_generation.reset();
+    config.engine.halt_after_evaluations.reset();
+    config.seeds = {1, 2};
+    const std::vector<RunRecord> full = ExperimentRunner(config, evaluator).run_all();
 
-  util::TempDir dir("resume-experiment");
-  config.checkpoint_dir = dir.path();
-  config.driver.halt_after_generation = 1;
-  ExperimentRunner(config, evaluator).run_all();
-  expect_checkpoint_at(dir.path() / "seed-1", 1);
-  expect_checkpoint_at(dir.path() / "seed-2", 1);
+    util::TempDir dir("resume-experiment");
+    config.engine = engine;
+    config.engine.checkpoint_dir = dir.path();
+    ExperimentRunner(config, evaluator).run_all();
+    expect_checkpoint_at(dir.path() / "seed-1", halted_at);
+    expect_checkpoint_at(dir.path() / "seed-2", halted_at);
 
-  config.driver.halt_after_generation.reset();
-  config.resume = true;
-  const std::vector<RunRecord> resumed = ExperimentRunner(config, evaluator).run_all();
-  EXPECT_EQ(runs_to_json(resumed).dump(), runs_to_json(full).dump());
+    config.engine.halt_after_generation.reset();
+    config.engine.halt_after_evaluations.reset();
+    config.engine.resume = true;
+    const std::vector<RunRecord> resumed = ExperimentRunner(config, evaluator).run_all();
+    EXPECT_EQ(runs_to_json(resumed).dump(), runs_to_json(full).dump());
+  }
 }
 
 }  // namespace

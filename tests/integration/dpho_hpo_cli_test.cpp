@@ -4,7 +4,10 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/fs.hpp"
@@ -111,6 +114,32 @@ TEST(DphoHpoCli, HelpPrintsUsage) {
   const std::string text = util::read_file(out_file);
   EXPECT_NE(text.find("usage: dpho_hpo"), std::string::npos);
   EXPECT_NE(text.find("--runtime-objective"), std::string::npos);
+}
+
+TEST(DphoHpoCli, OutOfRangeCountsExitTwoNamingTheFlag) {
+  // Every integer flag is range-checked before anything runs: a -1 must not
+  // wrap to 2^64-1 (unbounded generations or seeds, or a checkpoint cadence
+  // that never fires), and a zero population must not abort.
+  util::TempDir dir;
+  const std::string err = (dir.path() / "stderr.txt").string();
+  const std::string checkpoints = (dir.path() / "ck").string();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--pop", "--pop -1"},
+      {"--pop", "--pop 0"},
+      {"--generations", "--generations -1"},
+      {"--runs", "--runs -1"},
+      {"--runs", "--runs 0"},
+      {"--checkpoint-every",
+       "--mode async --checkpoint-dir " + checkpoints + " --checkpoint-every -1"},
+      {"--checkpoint-every", "--checkpoint-every 0"}};
+  for (const auto& [flag, args] : cases) {
+    EXPECT_EQ(run_command(std::string(DPHO_HPO_BIN) + " " + args +
+                          " --quiet >/dev/null 2>" + err),
+              2)
+        << args;
+    EXPECT_NE(util::read_file(err).find(flag), std::string::npos) << args;
+  }
+  EXPECT_FALSE(std::filesystem::exists(checkpoints));
 }
 
 TEST(DphoHpoCli, UnknownFlagExitsTwo) {

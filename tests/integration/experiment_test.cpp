@@ -19,10 +19,10 @@ class ExperimentSuite : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ExperimentConfig config;
-    config.driver.population_size = 40;
-    config.driver.generations = 5;
-    config.driver.farm.node_failure_probability = 0.0;  // config-driven failures only
-    config.driver.farm.real_threads = 2;
+    config.engine.population_size = 40;
+    config.engine.generations = 5;
+    config.engine.farm.node_failure_probability = 0.0;  // config-driven failures only
+    config.engine.farm.real_threads = 2;
     config.seeds = {1, 2, 3};
     evaluator_ = make_evaluator(EvalBackendConfig{}).release();
     ExperimentRunner runner(config, *evaluator_);

@@ -9,8 +9,7 @@
 #include <set>
 #include <string>
 
-#include "core/async_driver.hpp"
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "core/eval_config_io.hpp"
 #include "core/evaluator.hpp"
 #include "obs/event_sink.hpp"
@@ -72,17 +71,17 @@ std::set<std::size_t> event_ids(const std::filesystem::path& timeline,
 
 TEST(ProcessEngine, GenerationalKillTwoWorkersKeepsFitnessIdentical) {
   const auto evaluator = make_evaluator(EvalBackendConfig{});
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 6;
   config.generations = 2;
   config.cluster_backend = process_backend(3);
 
-  const RunRecord clean = Nsga2Driver(config, *evaluator).run(5);
+  const RunRecord clean = EvolutionEngine(config, *evaluator).run(5);
 
   // Two of the three real workers are SIGKILLed inside wave 1.
   config.farm.faults.events.push_back(kill_event(1, 1));
   config.farm.faults.events.push_back(kill_event(1, 4));
-  const RunRecord faulty = Nsga2Driver(config, *evaluator).run(5);
+  const RunRecord faulty = EvolutionEngine(config, *evaluator).run(5);
 
   expect_same_evaluations(clean, faulty);
   ASSERT_EQ(faulty.generations.size(), 3u);
@@ -97,37 +96,39 @@ TEST(ProcessEngine, GenerationalKillTwoWorkersKeepsFitnessIdentical) {
 
 TEST(ProcessEngine, AsyncKillsKeepTheArchiveIdentical) {
   const auto evaluator = make_evaluator(EvalBackendConfig{});
-  AsyncDriverConfig config;
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
   config.num_workers = 3;
-  config.population_capacity = 6;
+  config.population_size = 6;
   config.total_evaluations = 18;
   config.cluster_backend = process_backend(3);
 
-  const RunRecord clean = AsyncSteadyStateDriver(config, *evaluator).run(5);
+  const RunRecord clean = EvolutionEngine(config, *evaluator).run(5);
 
   config.farm.faults.events.push_back(kill_event(0, 2));
   config.farm.faults.events.push_back(kill_event(0, 7));
-  const RunRecord faulty = AsyncSteadyStateDriver(config, *evaluator).run(5);
+  const RunRecord faulty = EvolutionEngine(config, *evaluator).run(5);
 
   expect_same_evaluations(clean, faulty);
 }
 
 TEST(ProcessEngine, SchedulerDeathAndResumeNeverRerunsDeliveredTasks) {
   const auto evaluator = make_evaluator(EvalBackendConfig{});
-  AsyncDriverConfig config;
+  EngineConfig config;
+  config.mode = ScheduleMode::kSteadyState;
   config.num_workers = 3;
-  config.population_capacity = 6;
+  config.population_size = 6;
   config.total_evaluations = 18;
   config.cluster_backend = process_backend(3);
 
-  const RunRecord full = AsyncSteadyStateDriver(config, *evaluator).run(9);
+  const RunRecord full = EvolutionEngine(config, *evaluator).run(9);
 
   util::TempDir dir("process-resume");
   config.checkpoint_dir = dir.path();
   config.halt_after_evaluations = 8;  // the scheduler "dies" mid-session
   const auto before_timeline = dir.path() / "before.jsonl";
   obs::events().open(before_timeline);
-  const RunRecord partial = AsyncSteadyStateDriver(config, *evaluator).run(9);
+  const RunRecord partial = EvolutionEngine(config, *evaluator).run(9);
   obs::events().close();
   EXPECT_LT(partial.all_evaluations().size(), full.all_evaluations().size());
 
@@ -135,7 +136,7 @@ TEST(ProcessEngine, SchedulerDeathAndResumeNeverRerunsDeliveredTasks) {
   config.resume = true;
   const auto after_timeline = dir.path() / "after.jsonl";
   obs::events().open(after_timeline);
-  const RunRecord resumed = AsyncSteadyStateDriver(config, *evaluator).run(9);
+  const RunRecord resumed = EvolutionEngine(config, *evaluator).run(9);
   obs::events().close();
 
   expect_same_evaluations(full, resumed);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/analysis.hpp"
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "md/simulation.hpp"
 
 namespace dpho::core {
@@ -39,12 +39,12 @@ TEST(RealTrainingIntegration, MicroScaleEndToEnd) {
   backend.real = options;
   const std::unique_ptr<Evaluator> evaluator = make_evaluator(backend);
 
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 6;
   config.generations = 1;
   config.farm.real_threads = 2;
-  Nsga2Driver driver(config, *evaluator);
-  const RunRecord run = driver.run(3);
+  EvolutionEngine engine(config, *evaluator);
+  const RunRecord run = engine.run(3);
 
   ASSERT_EQ(run.generations.size(), 2u);
   std::size_t ok = 0, failed = 0;

@@ -4,7 +4,7 @@
 // lcurve.out.
 #include <gtest/gtest.h>
 
-#include "core/driver.hpp"
+#include "core/engine.hpp"
 #include "md/simulation.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -96,12 +96,12 @@ TEST_F(SubprocessSuite, InvalidRcutFailsViaSubprocessExitCode) {
 
 TEST_F(SubprocessSuite, DriverRunsOverSubprocessEvaluations) {
   const SubprocessEvaluator evaluator(options());
-  DriverConfig config;
+  EngineConfig config;
   config.population_size = 3;
   config.generations = 1;
   config.farm.real_threads = 1;  // serialize std::system calls
-  Nsga2Driver driver(config, evaluator);
-  const RunRecord run = driver.run(7);
+  EvolutionEngine engine(config, evaluator);
+  const RunRecord run = engine.run(7);
   ASSERT_EQ(run.generations.size(), 2u);
   std::size_t evaluated = 0;
   for (const auto& gen : run.generations) evaluated += gen.evaluated.size();

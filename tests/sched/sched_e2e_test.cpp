@@ -1,6 +1,6 @@
 // End-to-end chaos for the dpho_sched daemon as a real subprocess driving a
 // real 3-worker process pool: two tenants sharing the pool must finish with
-// archives byte-identical to solo single-run driver runs of the same seeds
+// archives byte-identical to solo single-run engine runs of the same seeds
 // -- in the clean case, with workers SIGKILLed mid-run by a fault plan, and
 // across a SIGKILL of the scheduler itself followed by --resume.
 #include <gtest/gtest.h>
@@ -15,9 +15,9 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/async_driver.hpp"
 #include "core/driver.hpp"
 #include "core/eval_config_io.hpp"
 #include "core/evaluator.hpp"
@@ -150,7 +150,7 @@ bool wait_for_events(const fs::path& timeline, const std::string& kind,
 }
 
 /// The solo equivalent: the same spec run alone through the single-run
-/// steady-state driver on its own (private) 3-worker process pool.  Cached
+/// steady-state engine on its own (private) 3-worker process pool.  Cached
 /// per (seed, budget) -- several tests pin against the same baseline.
 const std::vector<core::EvalRecord>& solo_evaluations(std::uint64_t seed,
                                                       std::size_t budget) {
@@ -161,17 +161,19 @@ const std::vector<core::EvalRecord>& solo_evaluations(std::uint64_t seed,
   const auto it = cache.find(key);
   if (it != cache.end()) return it->second;
   const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
-  core::AsyncDriverConfig config;
+  core::EngineConfig config;
+  config.mode = core::ScheduleMode::kSteadyState;
   config.num_workers = 3;
-  config.population_capacity = 6;
+  config.population_size = 6;
   config.total_evaluations = budget;
   config.cluster_backend.kind = hpc::ClusterBackendKind::kProcess;
   config.cluster_backend.process.worker_binary = DPHO_WORKER_BIN;
   config.cluster_backend.process.num_workers = 3;
   config.cluster_backend.process.eval_config_json =
       core::eval_backend_config_to_json(core::EvalBackendConfig{}).dump();
-  core::AsyncSteadyStateDriver driver(config, *evaluator);
-  return cache.emplace(key, driver.run(seed).all_evaluations()).first->second;
+  return cache
+      .emplace(key, core::EvolutionEngine(config, *evaluator).run(seed).all_evaluations())
+      .first->second;
 }
 
 /// The determinism contract across the daemon boundary: who was evaluated,
@@ -190,6 +192,27 @@ void expect_matches_solo(const fs::path& record_json, std::uint64_t seed,
     EXPECT_EQ(lhs[i].fitness, rhs[i].fitness) << i;
     EXPECT_EQ(lhs[i].status, rhs[i].status) << i;
     EXPECT_EQ(lhs[i].generation, rhs[i].generation) << i;
+  }
+}
+
+TEST(SchedE2e, OutOfRangeIntegerFlagsExitTwoNamingTheFlag) {
+  // The daemon's --max-runs and the client's --port are range-checked before
+  // anything binds or connects; `timeout` keeps a wrapped -1 from hanging.
+  util::TempDir dir;
+  const std::string err = (dir.path() / "stderr.txt").string();
+  const std::string daemon = std::string("timeout 20 ") + DPHO_SCHED_BIN +
+                             " --state-dir " + (dir.path() / "state").string();
+  const std::string client =
+      std::string("timeout 20 ") + DPHO_SCHED_CLIENT_BIN + " list";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--max-runs", daemon + " --max-runs 0"},
+      {"--max-runs", daemon + " --max-runs -1"},
+      {"--port", client + " --port 70000"},
+      {"--port", client + " --port -1"}};
+  for (const auto& [flag, command] : cases) {
+    const int status = std::system((command + " >/dev/null 2>" + err).c_str());
+    EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2) << command;
+    EXPECT_NE(util::read_file(err).find(flag), std::string::npos) << command;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "codec_fuzz.hpp"
 #include "core/driver.hpp"
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
@@ -232,6 +233,36 @@ TEST(Scheduler, RestartResumesEveryInterruptedRun) {
                              "sched.run_resume"))
         << name;
   }
+}
+
+TEST(Scheduler, SpecFileIntegerFieldsFailLoudlyOnRestart) {
+  // resume_all re-registers a cancelled run from its spec.json alone; every
+  // integer there goes through Json::as_uint, so -1, 1e30 and 2.5 are typed
+  // errors, not wrapped or undefined casts.
+  const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
+  util::TempDir dir("sched-spec-fuzz");
+  {
+    Scheduler scheduler(options_in(dir.path()), *evaluator);
+    scheduler.submit(quick_spec("axed", 7));
+    scheduler.cancel("axed");
+    drive(scheduler);
+  }
+  const std::filesystem::path spec_path = dir.path() / "runs" / "axed" / "spec.json";
+  const auto restart = [&](const util::Json& submission) {
+    util::write_file(spec_path, submission.dump());
+    Scheduler scheduler(options_in(dir.path()), *evaluator);
+    return scheduler.resume_all();
+  };
+  test_support::fuzz_integer_fields(
+      util::Json::parse(util::read_file(spec_path)),
+      {{"order"},
+       {"spec", "population_size"},
+       {"spec", "num_workers"},
+       {"spec", "total_evaluations"},
+       {"spec", "weight"},
+       {"spec", "max_in_flight"},
+       {"spec", "checkpoint_every"}},
+      restart);
 }
 
 TEST(Scheduler, RestartReRegistersTerminalRunsWithoutResuming) {

@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -118,6 +119,30 @@ std::set<std::string> event_kinds(const fs::path& timeline) {
     kinds.insert(event.string_or("kind", ""));
   }
   return kinds;
+}
+
+TEST(ServeE2e, OutOfRangeIntegerFlagsExitTwoNamingTheFlag) {
+  // Both tools range-check every count before the daemon binds or the client
+  // connects; `timeout` keeps a wrapped -1 from hanging the suite.
+  util::TempDir dir;
+  const std::string err = (dir.path() / "stderr.txt").string();
+  const std::string serve =
+      std::string("timeout 20 ") + DPHO_DP_SERVE_BIN + " " + dir.path().string();
+  const std::string client = std::string("timeout 20 ") + DPHO_DP_SERVE_CLIENT_BIN;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--cache", serve + " --cache 0"},
+      {"--max-queue", serve + " --max-queue -1"},
+      {"--max-frame-bytes", serve + " --max-frame-bytes 0"},
+      {"--max-frame-bytes", serve + " --max-frame-bytes 4294967296"},
+      {"--port", client + " --port 70000"},
+      {"--port", client + " --port 0"},
+      {"--batch", client + " --port 1 --batch 0"},
+      {"--requests", client + " --port 1 --requests -1"}};
+  for (const auto& [flag, command] : cases) {
+    const int status = std::system((command + " >/dev/null 2>" + err).c_str());
+    EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2) << command;
+    EXPECT_NE(util::read_file(err).find(flag), std::string::npos) << command;
+  }
 }
 
 TEST(ServeE2e, ClientRoundTripAndCleanShutdown) {

@@ -142,7 +142,14 @@ TEST(Server, ConcurrentMixedModelClientsStayByteExact) {
 
   constexpr int kClients = 3;
   constexpr int kRequestsPerClient = 6;
+  // A request is counted before any worker can answer it, so no client
+  // holding a reply may see more replies than requests.
+  const obs::Counter& requests = obs::metrics().counter("serve.requests");
+  const obs::Counter& replies = obs::metrics().counter("serve.replies");
+  const std::int64_t requests_before = requests.value();
+  const std::int64_t replies_before = replies.value();
   std::atomic<int> mismatches{0};
+  std::atomic<int> replies_ahead{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -159,6 +166,10 @@ TEST(Server, ConcurrentMixedModelClientsStayByteExact) {
           if (!reply_matches_direct(archive, request, wire)) {
             mismatches.fetch_add(1);
           }
+          const std::int64_t replied = replies.value() - replies_before;
+          if (requests.value() - requests_before < replied) {
+            replies_ahead.fetch_add(1);
+          }
         }
       } catch (const util::Error&) {
         mismatches.fetch_add(1);
@@ -167,6 +178,7 @@ TEST(Server, ConcurrentMixedModelClientsStayByteExact) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(replies_ahead.load(), 0);
   EXPECT_EQ(server.requests_served(),
             static_cast<std::uint64_t>(kClients * kRequestsPerClient));
   server.stop();
@@ -196,10 +208,12 @@ TEST(Server, RepliesAccountForEveryRequestWhileAOneSlotCacheThrashes) {
                            static_cast<std::uint64_t>(31 + r), batch);
           EXPECT_TRUE(reply_matches_direct(
               archive, request, exchange(client.fd, encode_eval_request(request))));
+          // One blocking round trip at a time: both counters already hold
+          // this request, since it is counted before a worker can pop it.
+          EXPECT_EQ(requests.value() - requests_before, r + 1);
+          EXPECT_EQ(replies.value() - replies_before, r + 1);
         }
       }
-      // The IO thread counts a request after queueing it, so read the
-      // counters once stop() has joined it.
       server.stop();
       EXPECT_EQ(server.cache().hit_rate(), 0.0);
       EXPECT_EQ(requests.value() - requests_before, kRequests)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "util/error.hpp"
 
 namespace dpho::util {
@@ -49,6 +52,46 @@ TEST(Args, DefaultsWhenAbsent) {
   EXPECT_EQ(args.get("--pop", std::int64_t{100}), 100);
   EXPECT_DOUBLE_EQ(args.get("--rate", 5e-4), 5e-4);
   EXPECT_EQ(args.get("--out", std::string("d")), "d");
+}
+
+/// The ParseError get_count throws, or "" when it accepts the value.
+std::string count_error(const ArgParser& args, std::size_t fallback,
+                        std::size_t min, std::size_t max) {
+  try {
+    args.get_count("--pop", fallback, min, max);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, CountsAreRangeCheckedAndNameTheFlag) {
+  constexpr std::size_t kAny = ArgParser::kMaxCount;
+  const auto with_pop = [](const char* value) {
+    ArgParser args = make_parser();
+    parse(args, {"--pop", value});
+    return args;
+  };
+  // In range, at both ends of an inclusive range, and the fallback.
+  EXPECT_EQ(with_pop("40").get_count("--pop", 100, 1), 40u);
+  EXPECT_EQ(with_pop("1").get_count("--pop", 100, 1, 65535), 1u);
+  EXPECT_EQ(with_pop("65535").get_count("--pop", 100, 1, 65535), 65535u);
+  EXPECT_EQ(with_pop("0").get_count("--pop", 100), 0u);
+  EXPECT_EQ(make_parser().get_count("--pop", 100, 1), 100u);
+  EXPECT_EQ(with_pop("9223372036854775807").get_count("--pop", 1), kAny);
+
+  // Below, above, negative, non-integer, and past int64: each names the flag.
+  for (const auto& [value, min, max] :
+       {std::tuple{"0", std::size_t{1}, kAny}, std::tuple{"-1", std::size_t{0}, kAny},
+        std::tuple{"65536", std::size_t{1}, std::size_t{65535}},
+        std::tuple{"2.5", std::size_t{0}, kAny},
+        std::tuple{"9223372036854775808", std::size_t{0}, kAny}}) {
+    const std::string error = count_error(with_pop(value), 1, min, max);
+    EXPECT_NE(error.find("--pop"), std::string::npos) << value << ": " << error;
+  }
+  EXPECT_NE(count_error(with_pop("-1"), 1, 0, kAny).find(">= 0"), std::string::npos);
+  EXPECT_NE(count_error(with_pop("65536"), 1, 1, 65535).find("[1, 65535]"),
+            std::string::npos);
 }
 
 TEST(Args, PositionalCollected) {
