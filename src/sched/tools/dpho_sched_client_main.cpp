@@ -79,7 +79,13 @@ int main(int argc, char** argv) {
     } else if (args.has("--port-file")) {
       const std::string text =
           util::read_file(args.get("--port-file", std::string()));
-      port = static_cast<std::uint16_t>(std::stoul(text));
+      // stoul wraps a leading '-', so -5 lands above the range too.
+      const unsigned long value = std::stoul(text);
+      if (value < 1 || value > 65535) {
+        throw util::ParseError("--port-file holds " + std::to_string(value) +
+                               ", not a port in [1, 65535]");
+      }
+      port = static_cast<std::uint16_t>(value);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dpho_sched_client: bad port: %s\n", e.what());

@@ -196,19 +196,23 @@ void expect_matches_solo(const fs::path& record_json, std::uint64_t seed,
 }
 
 TEST(SchedE2e, OutOfRangeIntegerFlagsExitTwoNamingTheFlag) {
-  // The daemon's --max-runs and the client's --port are range-checked before
-  // anything binds or connects; `timeout` keeps a wrapped -1 from hanging.
+  // The daemon's --max-runs and the client's port (from --port or
+  // --port-file) are range-checked before anything binds or connects;
+  // `timeout` keeps a wrapped -1 from hanging.
   util::TempDir dir;
   const std::string err = (dir.path() / "stderr.txt").string();
   const std::string daemon = std::string("timeout 20 ") + DPHO_SCHED_BIN +
                              " --state-dir " + (dir.path() / "state").string();
   const std::string client =
       std::string("timeout 20 ") + DPHO_SCHED_CLIENT_BIN + " list";
+  const fs::path port_file = dir.path() / "port";
+  util::write_file(port_file, "70000\n");
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"--max-runs", daemon + " --max-runs 0"},
       {"--max-runs", daemon + " --max-runs -1"},
       {"--port", client + " --port 70000"},
-      {"--port", client + " --port -1"}};
+      {"--port", client + " --port -1"},
+      {"--port-file", client + " --port-file " + port_file.string()}};
   for (const auto& [flag, command] : cases) {
     const int status = std::system((command + " >/dev/null 2>" + err).c_str());
     EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2) << command;
