@@ -1,5 +1,4 @@
-// The steady-state schedule of core::EvolutionEngine (suite name kept from
-// the retired asynchronous driver).
+// The steady-state schedule of core::EvolutionEngine.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>

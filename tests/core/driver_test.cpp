@@ -1,5 +1,4 @@
-// The generational schedule of core::EvolutionEngine (suite name kept from
-// the retired generational driver).
+// The generational schedule of core::EvolutionEngine.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
