@@ -52,7 +52,7 @@ std::vector<std::byte> read_blob(const std::filesystem::path& path) {
 }  // namespace
 
 DeepPotModel::DeepPotModel(const ModelSpec& spec, std::vector<md::Species> types,
-                           double energy_bias_per_atom, std::uint64_t seed)
+                           double energy_bias_per_atom)
     : spec_(spec),
       types_(std::move(types)),
       energy_bias_per_atom_(energy_bias_per_atom),
@@ -67,29 +67,31 @@ DeepPotModel::DeepPotModel(const ModelSpec& spec, std::vector<md::Species> types
                              ", not a species index");
     }
   }
-  util::Rng rng(seed);
-
   const std::size_t m1 = spec_.m1();
   const std::size_t m2 = spec_.m2();
   embeddings_.reserve(md::kNumSpecies * md::kNumSpecies);
   for (std::size_t pair = 0; pair < md::kNumSpecies * md::kNumSpecies; ++pair) {
-    nn::Mlp net(1, spec_.descriptor.neuron, spec_.descriptor.activation,
-                spec_.descriptor.activation);
-    net.init_xavier(rng);
-    embeddings_.push_back(std::move(net));
+    embeddings_.emplace_back(1, spec_.descriptor.neuron, spec_.descriptor.activation,
+                             spec_.descriptor.activation);
   }
   fittings_.reserve(md::kNumSpecies);
   std::vector<std::size_t> fit_widths = spec_.fitting.neuron;
   fit_widths.push_back(1);  // scalar atomic energy head
   for (std::size_t t = 0; t < md::kNumSpecies; ++t) {
-    nn::Mlp net(m1 * m2, fit_widths, spec_.fitting.activation,
-                nn::Activation::kIdentity);
-    net.init_xavier(rng);
-    fittings_.push_back(std::move(net));
+    fittings_.emplace_back(m1 * m2, fit_widths, spec_.fitting.activation,
+                           nn::Activation::kIdentity);
   }
   num_params_ = 0;
   for (const auto& net : embeddings_) num_params_ += net.num_params();
   for (const auto& net : fittings_) num_params_ += net.num_params();
+}
+
+DeepPotModel::DeepPotModel(const ModelSpec& spec, std::vector<md::Species> types,
+                           double energy_bias_per_atom, std::uint64_t seed)
+    : DeepPotModel(spec, std::move(types), energy_bias_per_atom) {
+  util::Rng rng(seed);
+  for (nn::Mlp& net : embeddings_) net.init_xavier(rng);
+  for (nn::Mlp& net : fittings_) net.init_xavier(rng);
 }
 
 DeepPotModel::DeepPotModel(const TrainInput& config, std::vector<md::Species> types,
@@ -188,7 +190,7 @@ DeepPotModel DeepPotModel::unfilled(const util::Json& document) {
     types.push_back(static_cast<md::Species>(t));
   }
   return DeepPotModel(spec, std::move(types),
-                      document.at("energy_bias_per_atom").as_number(), /*seed=*/0);
+                      document.at("energy_bias_per_atom").as_number());
 }
 
 DeepPotModel DeepPotModel::load(const util::Json& header,
@@ -221,18 +223,21 @@ DeepPotModel DeepPotModel::load(const util::Json& header,
                            " differs from the spec's " +
                            std::to_string(model.num_params_));
   }
-  // The bytes go straight into each net's parameter vector.
+  // Each net's bytes go through one aligned scratch vector into
+  // load_params, which fills the net and its packed weights once.
+  std::vector<double> params;
   std::size_t offset = 0;
   const auto fill = [&](nn::Mlp& net) {
-    const std::span<double> params = net.params();
+    params.resize(net.num_params());
     std::memcpy(params.data(), blob.data() + offset * sizeof(double),
-                params.size_bytes());
+                params.size() * sizeof(double));
     for (std::size_t k = 0; k < params.size(); ++k) {
       if (!std::isfinite(params[k])) {
         throw util::ValueError("model artifact: parameter " +
                                std::to_string(offset + k) + " is not finite");
       }
     }
+    net.load_params(params);
     offset += params.size();
   };
   for (nn::Mlp& net : model.embeddings_) fill(net);

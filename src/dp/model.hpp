@@ -106,6 +106,10 @@ class DeepPotModel {
   double energy_bias_per_atom() const { return energy_bias_per_atom_; }
 
  private:
+  /// The architecture with every parameter zero and no initialization: the
+  /// load path fills each net exactly once.
+  DeepPotModel(const ModelSpec& spec, std::vector<md::Species> types,
+               double energy_bias_per_atom);
   /// The model a header or legacy document describes, before its parameters.
   static DeepPotModel unfilled(const util::Json& document);
   static DeepPotModel load_inline(const util::Json& document);

@@ -18,8 +18,13 @@ Mlp::Mlp(std::size_t input_width, const std::vector<std::size_t>& widths,
     in = widths[i];
   }
   std::size_t total = 0;
-  for (const LayerSpec& layer : layers_) total += layer.in * layer.out + layer.out;
+  std::size_t weights = 0;
+  for (const LayerSpec& layer : layers_) {
+    total += layer.in * layer.out + layer.out;
+    weights += layer.in * layer.out;
+  }
   params_.assign(total, 0.0);
+  packed_.assign(weights, 0.0);
 }
 
 void Mlp::init_xavier(util::Rng& rng) {
@@ -32,6 +37,19 @@ void Mlp::init_xavier(util::Rng& rng) {
     offset += layer.in * layer.out;
     for (std::size_t i = 0; i < layer.out; ++i) params_[offset + i] = 0.0;
     offset += layer.out;
+  }
+  pack();
+}
+
+void Mlp::pack() {
+  const double* w = params_.data();
+  double* wt = packed_.data();
+  for (const LayerSpec& layer : layers_) {
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      for (std::size_t i = 0; i < layer.in; ++i) wt[i * layer.out + o] = w[o * layer.in + i];
+    }
+    w += layer.in * layer.out + layer.out;
+    wt += layer.in * layer.out;
   }
 }
 
@@ -72,6 +90,7 @@ void Mlp::load_params(std::span<const double> params) {
     throw util::ValueError("mlp load: parameter count mismatch");
   }
   params_.assign(params.begin(), params.end());
+  pack();
 }
 
 }  // namespace dpho::nn

@@ -5,7 +5,10 @@
 //
 // Parameters live in one contiguous vector so optimizers can treat the whole
 // network (or several networks concatenated) as a flat parameter space, the
-// same way DeePMD-kit's trainer sees one TensorFlow variable list.
+// same way DeePMD-kit's trainer sees one TensorFlow variable list.  Beside
+// it the net keeps each layer's weights transposed, input-major, for the
+// batched forward; init_xavier and load_params are the only writers of the
+// parameters, and both rebuild that copy.
 #pragma once
 
 #include <cstddef>
@@ -33,15 +36,19 @@ class Mlp {
   Mlp(std::size_t input_width, const std::vector<std::size_t>& widths,
       Activation hidden_activation, Activation output_activation);
 
-  /// Xavier/Glorot-uniform initialization of weights; biases zero.
+  /// Xavier/Glorot-uniform initialization of weights; biases zero.  Until
+  /// this or load_params runs, every parameter is zero.
   void init_xavier(util::Rng& rng);
 
   std::size_t input_width() const;
   std::size_t output_width() const;
   std::size_t num_params() const { return params_.size(); }
 
-  std::span<double> params() { return params_; }
+  /// Per layer, W as [out][in] row-major, then the out biases.
   std::span<const double> params() const { return params_; }
+  /// Per layer, W transposed as [in][out] row-major (no biases), layer
+  /// after layer: in * out values for each.
+  std::span<const double> packed_weights() const { return packed_; }
 
   /// Per-sample inference, the reference the batch kernels are tested
   /// against.  Const; safe to call concurrently.
@@ -54,8 +61,12 @@ class Mlp {
   void load_params(std::span<const double> params);
 
  private:
+  /// Rebuilds packed_ from params_.
+  void pack();
+
   std::vector<LayerSpec> layers_;
   std::vector<double> params_;
+  std::vector<double> packed_;
 };
 
 }  // namespace dpho::nn

@@ -114,14 +114,23 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
-std::atomic<const Ops*> g_active{nullptr};
+bool cpu_supports_avx512f() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512f") && cpu_supports_avx2_fma();
+#else
+  return false;
+#endif
+}
 
-const Ops* resolve_initial() {
-  if (avx2_ops() != nullptr && cpu_supports_avx2_fma()) {
-    return avx2_ops();
+/// The best table this build compiled and the CPU can run.
+const Ops* best() {
+  for (const Level level : {Level::kAvx512, Level::kAvx2}) {
+    if (const Ops* ops = table(level)) return ops;
   }
   return &kScalarOps;
 }
+
+std::atomic<const Ops*> g_active{nullptr};
 
 }  // namespace
 
@@ -130,11 +139,26 @@ const Ops& scalar_ops() { return kScalarOps; }
 #if !defined(DPHO_SIMD_AVX2)
 const Ops* avx2_ops() { return nullptr; }
 #endif
+#if !defined(DPHO_SIMD_AVX512)
+const Ops* avx512_ops() { return nullptr; }
+#endif
+
+const Ops* table(Level level) {
+  switch (level) {
+    case Level::kAvx512:
+      return cpu_supports_avx512f() ? avx512_ops() : nullptr;
+    case Level::kAvx2:
+      return cpu_supports_avx2_fma() ? avx2_ops() : nullptr;
+    case Level::kScalar:
+      break;
+  }
+  return &kScalarOps;
+}
 
 const Ops& active() {
   const Ops* ops = g_active.load(std::memory_order_acquire);
   if (ops == nullptr) {
-    const Ops* resolved = resolve_initial();
+    const Ops* resolved = best();
     // Several threads may race the first resolution; they all compute the
     // same answer, so the losing CAS just keeps the winner's value.
     g_active.compare_exchange_strong(ops, resolved, std::memory_order_acq_rel);
@@ -143,16 +167,19 @@ const Ops& active() {
   return *ops;
 }
 
-bool available() { return avx2_ops() != nullptr && cpu_supports_avx2_fma(); }
+bool select(Level level) {
+  const Ops* ops = table(level);
+  if (ops == nullptr) return false;
+  g_active.store(ops, std::memory_order_release);
+  return true;
+}
+
+bool available() { return best() != &kScalarOps; }
 
 bool enabled() { return &active() != &kScalarOps; }
 
 bool set_enabled(bool on) {
-  if (on && available()) {
-    g_active.store(avx2_ops(), std::memory_order_release);
-  } else {
-    g_active.store(&kScalarOps, std::memory_order_release);
-  }
+  g_active.store(on ? best() : &kScalarOps, std::memory_order_release);
   return enabled();
 }
 

@@ -2,31 +2,37 @@
 //
 // Every hot loop in nn/mlp_kernels.cpp is one of three dense operations
 // over sample-major SoA batches, or the tanh activation pass.  This header
-// exposes them behind a function table that is resolved once at first use:
+// exposes them behind a function table that is resolved once at first use,
+// to the best of three levels the running CPU can run:
 //
-//   * an AVX2 implementation selected when the running CPU reports AVX2 and
-//     FMA: the dense operations in src/nn/simd_avx2.cpp (-mavx2 -mfma) and
-//     the tanh pass in src/nn/simd_avx2_tanh.cpp (-mavx2 only), both
-//     compiled when DPHO_ENABLE_SIMD is ON, and
+//   * an AVX-512 table when the CPU reports AVX-512F: the dense operations
+//     in src/nn/simd_avx512.cpp and the tanh pass in
+//     src/nn/simd_avx512_tanh.cpp (both -mavx512f),
+//   * an AVX2 table when the CPU reports AVX2 and FMA: the dense operations
+//     in src/nn/simd_avx2.cpp (-mavx2 -mfma) and the tanh pass in
+//     src/nn/simd_avx2_tanh.cpp (-mavx2 only), and
 //   * a portable scalar table of plain loops.
 //
-// Dispatch can be flipped at runtime with set_enabled() -- which is how the
-// SIMD parity tests and perfbench's SIMD-off runs drive both paths in one
-// process -- and the DPHO_ENABLE_SIMD=OFF build (the simd-off preset)
-// compiles the scalar table alone.
+// Both vector tables are compiled when DPHO_ENABLE_SIMD is ON; the
+// DPHO_ENABLE_SIMD=OFF build (the simd-off preset) compiles the scalar
+// table alone.  set_enabled() flips between the best vector table and the
+// scalar one at runtime (perfbench's SIMD-off runs); select() picks any
+// level, which is how the tests drive every table in one process.
 //
 // Determinism: the AVX2 forward kernel splits dot products across vector
 // lanes, so its reduction order differs from scalar and results can differ
 // from the scalar path by FMA-contraction-sized rounding (the parity tests
-// pin the tolerance).  The AVX2 backward-input and param-grad-tangent
-// kernels are register tiles over several samples, but each output element
-// keeps the scalar loops' order of terms, so they differ from scalar by FMA
-// contraction only and a row's bits never depend on the rows tiled with it.
-// The tanh pass runs one core in both tables with the same operations in
-// the same order and no FMA, so they agree bit for bit at every length and
-// offset.  Within either table, results are bit-reproducible and
-// independent of thread count: dispatch state is process-global and the
-// kernels carry no per-thread state.
+// pin the tolerance); the AVX-512 table runs the same forward.  The
+// backward-input and param-grad-tangent kernels of both vector tables are
+// register tiles over several samples, but each output element keeps the
+// scalar loops' order of terms, so they differ from scalar by FMA
+// contraction only and a row's bits never depend on the rows tiled with
+// it; the two vector tables agree bit for bit.  The tanh pass runs one
+// core in every table with the same operations in the same order and no
+// FMA, so they agree bit for bit at every length and offset.  Within any
+// table, results are bit-reproducible and independent of thread count:
+// dispatch state is process-global and the kernels carry no per-thread
+// state.
 #pragma once
 
 #include <cstddef>
@@ -60,33 +66,41 @@ struct Ops {
   /// tanh(+-inf) = +-1, NaN stays NaN.  Bit-identical across tables.
   void (*tanh)(const double* z, double* y, double* sp, double* spp,
                std::size_t n);
-  const char* name;  // "avx2-fma" or "scalar"
+  const char* name;  // "avx512f", "avx2-fma" or "scalar"
 };
+
+/// The dispatch levels, worst to best.
+enum class Level { kScalar, kAvx2, kAvx512 };
 
 /// The currently dispatched table (resolved lazily on first call).
 const Ops& active();
 
-/// True when an AVX2/FMA table was compiled in AND the running CPU supports
+/// The table of `level`, or nullptr when this build did not compile it or
+/// the running CPU cannot run it.  table(Level::kScalar) is never null.
+const Ops* table(Level level);
+
+/// Makes table(level) the active table.  Returns false, and changes
+/// nothing, when that table is null.  Not intended for use while kernels
+/// are running on other threads.
+bool select(Level level);
+
+/// True when some vector table is compiled in AND the running CPU supports
 /// it (independent of whether it is currently enabled).
 bool available();
 
-/// True when the active table is the vector one.
+/// True when the active table is a vector one.
 bool enabled();
 
-/// Force the vector (true) or scalar (false) table.  Enabling is a no-op
-/// when available() is false; returns the resulting enabled() state.  Not
-/// intended for use while kernels are running on other threads.
+/// Force the best vector table the CPU can run (true) or the scalar one
+/// (false).  Enabling is a no-op when available() is false; returns the
+/// resulting enabled() state.  Not intended for use while kernels are
+/// running on other threads.
 bool set_enabled(bool on);
 
-/// Name of the active table ("avx2-fma" / "scalar").
+/// Name of the active table ("avx512f" / "avx2-fma" / "scalar").
 const char* level_name();
 
 /// The scalar table (always present; the parity oracle).
 const Ops& scalar_ops();
-
-/// The AVX2 table, or nullptr when not compiled in (DPHO_ENABLE_SIMD=OFF).
-/// Internal to the dispatcher and the tests; callers must check the CPU via
-/// available() before using it.
-const Ops* avx2_ops();
 
 }  // namespace dpho::nn::simd

@@ -35,6 +35,8 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(_mm_hadd_pd(pair, pair));
 }
 
+}  // namespace
+
 void avx2_dense_forward(const double* w, const double* bias, const double* x,
                         std::size_t batch, std::size_t in, std::size_t out,
                         double* z) {
@@ -92,6 +94,8 @@ void avx2_dense_forward(const double* w, const double* bias, const double* x,
     }
   }
 }
+
+namespace {
 
 // The tiles keep R rows of sums in arrays indexed by r.  GCC holds such an
 // array in registers only when every loop over r is fully unrolled, hence

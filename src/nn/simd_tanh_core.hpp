@@ -1,5 +1,6 @@
-// The branch-free tanh core of both simd tables (internal to simd.cpp,
-// simd_avx2.cpp and simd_avx2_tanh.cpp).  Per element:
+// Internals of the simd tables (simd.cpp and the simd_avx2* / simd_avx512*
+// TUs): the branch-free tanh core every table runs, and each vector
+// table's entry points.  Per element, the core computes
 //
 //   a = min(|x|, 20)          with 20 as the first operand, so a NaN passes
 //   e = expm1(-2a):           k = round(-2a / ln2) by the 1.5 * 2^52 shift,
@@ -9,11 +10,14 @@
 //                             bits, and e = 2^k p + (2^k - 1)
 //   tanh(x) = copysign(-e / (2 + e), x)
 //
-// The scalar table (simd.cpp) and the AVX2 lanes (simd_avx2_tanh.cpp) run
-// these operations in this order with no FMA, so they round alike.
+// The scalar table (simd.cpp), the AVX2 lanes (simd_avx2_tanh.cpp) and the
+// AVX-512 lanes (simd_avx512_tanh.cpp) run these operations in this order
+// with no FMA, so they round alike.
 #pragma once
 
 #include <cstddef>
+
+#include "nn/simd.hpp"
 
 namespace dpho::nn::simd {
 
@@ -36,5 +40,19 @@ inline constexpr double kExpm1Coef[] = {
 /// The AVX2 table's tanh entry (simd_avx2_tanh.cpp, built without -mfma).
 void avx2_tanh(const double* z, double* y, double* sp, double* spp,
                std::size_t n);
+/// The AVX-512 table's tanh entry (simd_avx512_tanh.cpp).
+void avx512_tanh(const double* z, double* y, double* sp, double* spp,
+                 std::size_t n);
+/// The AVX2 row-kernel forward (simd_avx2.cpp), which the AVX-512 table
+/// shares.
+void avx2_dense_forward(const double* w, const double* bias, const double* x,
+                        std::size_t batch, std::size_t in, std::size_t out,
+                        double* z);
+
+/// The compiled vector tables, or nullptr when the build left them out
+/// (DPHO_ENABLE_SIMD=OFF or a compiler without the ISA flags).  They say
+/// nothing about the running CPU: the dispatcher (simd.cpp) checks it.
+const Ops* avx2_ops();
+const Ops* avx512_ops();
 
 }  // namespace dpho::nn::simd

@@ -10,10 +10,11 @@
 // transcendental libm call, and tanh comes from the tables' own core, so
 // the hashes depend on the kernels alone.
 //
-// The scalar table is pinned in every build.  The AVX2 table is pinned only
-// in optimized builds: GCC contracts the AVX2 kernels' scalar tails
-// (a * b + c) into FMAs at -O1 and above but not at -O0, so the Debug-built
-// sanitizer presets round those tails differently.
+// The scalar table is pinned in every build.  The vector tables (AVX2 and
+// AVX-512, which agree bit for bit) are pinned only in optimized builds:
+// GCC contracts the AVX2 kernels' scalar tails (a * b + c) into FMAs at -O1
+// and above but not at -O0, so the Debug-built sanitizer presets round
+// those tails differently.
 //
 // A change that keeps every kernel bit (a retiling, a new dispatch level
 // that matches an old one) must pass these unchanged.  A declared bit change
@@ -145,13 +146,18 @@ TEST_F(KernelBits, Avx2TableIsPinnedInOptimizedBuilds) {
 #if !defined(__OPTIMIZE__)
   GTEST_SKIP() << "unoptimized build: the AVX2 tails are not FMA-contracted";
 #else
-  if (!nn::simd::set_enabled(true)) {
-    GTEST_SKIP() << "no AVX2/FMA kernels on this build/CPU";
+  if (!nn::simd::available()) {
+    GTEST_SKIP() << "no vector kernels on this build/CPU";
   }
-  const KernelHashes got = hash_kernels();
-  EXPECT_EQ(got.evaluate, "20c0e0b87f9c2870");
-  EXPECT_EQ(got.gradient, "4f8fbcafce56fb7a");
-  EXPECT_EQ(got.md_forces, "c9bd7c6f946432c8");
+  for (const nn::simd::Level level :
+       {nn::simd::Level::kAvx2, nn::simd::Level::kAvx512}) {
+    if (!nn::simd::select(level)) continue;
+    SCOPED_TRACE(nn::simd::level_name());
+    const KernelHashes got = hash_kernels();
+    EXPECT_EQ(got.evaluate, "20c0e0b87f9c2870");
+    EXPECT_EQ(got.gradient, "4f8fbcafce56fb7a");
+    EXPECT_EQ(got.md_forces, "c9bd7c6f946432c8");
+  }
 #endif
 }
 

@@ -4,6 +4,7 @@
 // codec_fuzz.hpp for the header, a word-flip and prefix pass for the blob).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -99,6 +100,34 @@ TEST(ModelArtifact, ParametersRoundTripByteForByte) {
   EXPECT_EQ(loaded.types(), model.types());
   EXPECT_EQ(loaded.energy_bias_per_atom(), model.energy_bias_per_atom());
   EXPECT_EQ(loaded.spec().to_json(), model.spec().to_json());
+}
+
+TEST(ModelArtifact, LoadsFromAnUnalignedBlobIntoPackedNets) {
+  const DeepPotModel model = tiny_model(5);
+  const std::vector<double> params = model.gather_params();
+  // The blob one byte into its buffer, so no double in it is aligned.
+  std::vector<std::byte> buffer(params.size() * sizeof(double) + 1);
+  std::memcpy(buffer.data() + 1, params.data(), params.size() * sizeof(double));
+  const std::span<const std::byte> blob(buffer.data() + 1, buffer.size() - 1);
+  const DeepPotModel loaded = DeepPotModel::load(model.save(), blob);
+  EXPECT_TRUE(same_bits(loaded.gather_params(), params));
+  // Every net's packed weights were rebuilt from the blob.
+  for (std::size_t pair = 0; pair < md::kNumSpecies * md::kNumSpecies; ++pair) {
+    const auto got = loaded.embedding_net(pair).packed_weights();
+    const auto want = model.embedding_net(pair).packed_weights();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "embedding net " << pair;
+  }
+  for (std::size_t t = 0; t < md::kNumSpecies; ++t) {
+    const auto got = loaded.fitting_net(t).packed_weights();
+    const auto want = model.fitting_net(t).packed_weights();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "fitting net " << t;
+  }
+  util::Rng rng(6);
+  const md::Frame frame = random_frame(rng);
+  expect_bit_identical(Potential::borrow(loaded).evaluate(frame),
+                       Potential::borrow(model).evaluate(frame));
 }
 
 TEST(ModelArtifact, HeaderNamesFormatCountByteOrderAndChecksum) {

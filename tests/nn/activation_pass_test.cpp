@@ -8,8 +8,8 @@
 //     random bit patterns and the range the nets live in, its derivatives
 //     are the t-expressions of the returned t, and its edge cases (NaN,
 //     +-inf, +-0, subnormals) come back as tanh's;
-//   * the scalar and AVX2 tables agree bit for bit at every length and
-//     offset, tails included.
+//   * every vector table the CPU can run agrees with the scalar table bit
+//     for bit at every length and offset, tails included.
 #include "nn/activation.hpp"
 
 #include <gtest/gtest.h>
@@ -27,6 +27,15 @@
 
 namespace dpho::nn {
 namespace {
+
+/// The vector tables this build compiled and the running CPU can run.
+std::vector<const simd::Ops*> vector_tables() {
+  std::vector<const simd::Ops*> tables;
+  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (const simd::Ops* ops = simd::table(level)) tables.push_back(ops);
+  }
+  return tables;
+}
 
 // The per-element functions as they were before the pass, for the
 // activations whose arithmetic the pass keeps.
@@ -192,7 +201,7 @@ void tanh_sweep(Check&& check) {
 }
 
 TEST(TanhCore, WithinPinnedUlpOfLibmAndTablesAgreeOverTheSweep) {
-  const simd::Ops* avx2 = simd::available() ? simd::avx2_ops() : nullptr;
+  const std::vector<const simd::Ops*> vector = vector_tables();
   std::vector<double> y, sp, spp, vy, vsp, vspp;
   std::uint64_t max_ulp = 0;
   double worst = 0.0;
@@ -206,17 +215,11 @@ TEST(TanhCore, WithinPinnedUlpOfLibmAndTablesAgreeOverTheSweep) {
     sp.resize(n);
     spp.resize(n);
     simd::scalar_ops().tanh(z.data(), y.data(), sp.data(), spp.data(), n);
-    if (avx2 != nullptr) {
-      vy.resize(n);
-      vsp.resize(n);
-      vspp.resize(n);
-      avx2->tanh(z.data(), vy.data(), vsp.data(), vspp.data(), n);
-    }
     count += n;
     for (std::size_t k = 0; k < n; ++k) {
       const double t = y[k];
       if (std::isnan(z[k])) {  // NaN payloads are not part of the contract
-        nan_mismatches += !std::isnan(t) || (avx2 != nullptr && !std::isnan(vy[k]));
+        nan_mismatches += !std::isnan(t);
         continue;
       }
       const std::uint64_t d = ulp_distance(t, std::tanh(z[k]));
@@ -226,8 +229,19 @@ TEST(TanhCore, WithinPinnedUlpOfLibmAndTablesAgreeOverTheSweep) {
       }
       derivative_mismatches += bits(sp[k]) != bits(1.0 - t * t) ||
                                bits(spp[k]) != bits(-2.0 * t * (1.0 - t * t));
-      if (avx2 != nullptr) {
-        table_mismatches += bits(vy[k]) != bits(t) || bits(vsp[k]) != bits(sp[k]) ||
+    }
+    for (const simd::Ops* ops : vector) {
+      vy.resize(n);
+      vsp.resize(n);
+      vspp.resize(n);
+      ops->tanh(z.data(), vy.data(), vsp.data(), vspp.data(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (std::isnan(z[k])) {
+          nan_mismatches += !std::isnan(vy[k]);
+          continue;
+        }
+        table_mismatches += bits(vy[k]) != bits(y[k]) ||
+                            bits(vsp[k]) != bits(sp[k]) ||
                             bits(vspp[k]) != bits(spp[k]);
       }
     }
@@ -246,8 +260,8 @@ TEST(TanhCore, EdgeCasesInEveryTable) {
   const std::vector<double> subnormals = {kTiny, -kTiny, 0x0.8p-1022,
                                           -0x0.0000123456789p-1022,
                                           0x0.fffffffffffffp-1022};
-  std::vector<const simd::Ops*> tables = {&simd::scalar_ops()};
-  if (simd::available()) tables.push_back(simd::avx2_ops());
+  std::vector<const simd::Ops*> tables = vector_tables();
+  tables.push_back(&simd::scalar_ops());
   for (const simd::Ops* ops : tables) {
     std::vector<double> z = {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
                              0.0, -0.0};
@@ -266,32 +280,39 @@ TEST(TanhCore, EdgeCasesInEveryTable) {
 }
 
 TEST(TanhCore, TablesAgreeBitwiseAtEveryLengthAndOffset) {
-  if (!simd::available()) {
-    GTEST_SKIP() << "no AVX2/FMA kernels on this build/CPU";
+  const std::vector<const simd::Ops*> vector = vector_tables();
+  if (vector.empty()) {
+    GTEST_SKIP() << "no vector kernels on this build/CPU";
   }
   constexpr double kGuard = 12345.0;  // must survive past the last element
+  constexpr std::size_t kMaxN = 67;
+  constexpr std::size_t kOffsets = 8;  // every 8-byte alignment mod 64
   util::Rng rng(77);
-  std::vector<double> z(67 + 3 + 1);
+  std::vector<double> z(kMaxN + kOffsets);
   for (double& v : z) v = rng.uniform(-25.0, 25.0);
   const simd::Ops& scalar = simd::scalar_ops();
-  const simd::Ops& avx2 = *simd::avx2_ops();
-  for (std::size_t offset = 0; offset < 4; ++offset) {
-    for (std::size_t n = 1; n <= 67; ++n) {
-      for (const bool curvature : {true, false}) {
-        std::vector<double> out[2][3];
-        for (int t = 0; t < 2; ++t) {
-          for (auto& buffer : out[t]) buffer.assign(offset + n + 1, kGuard);
-          const simd::Ops& ops = t == 0 ? scalar : avx2;
-          ops.tanh(z.data() + offset, out[t][0].data() + offset,
-                   out[t][1].data() + offset,
-                   curvature ? out[t][2].data() + offset : nullptr, n);
-        }
-        for (int b = 0; b < 3; ++b) {
-          EXPECT_EQ(out[0][b][offset + n], kGuard) << "n " << n << " offset " << offset;
-          EXPECT_EQ(out[1][b][offset + n], kGuard) << "n " << n << " offset " << offset;
-          for (std::size_t k = 0; k < offset + n; ++k) {
-            EXPECT_EQ(bits(out[0][b][k]), bits(out[1][b][k]))
-                << "buffer " << b << " n " << n << " offset " << offset << " k " << k;
+  for (const simd::Ops* ops : vector) {
+    for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+      for (std::size_t n = 1; n <= kMaxN; ++n) {
+        for (const bool curvature : {true, false}) {
+          std::vector<double> out[2][3];
+          for (int t = 0; t < 2; ++t) {
+            for (auto& buffer : out[t]) buffer.assign(offset + n + 1, kGuard);
+            const simd::Ops& run = t == 0 ? scalar : *ops;
+            run.tanh(z.data() + offset, out[t][0].data() + offset,
+                     out[t][1].data() + offset,
+                     curvature ? out[t][2].data() + offset : nullptr, n);
+          }
+          for (int b = 0; b < 3; ++b) {
+            ASSERT_EQ(out[0][b][offset + n], kGuard)
+                << "n " << n << " offset " << offset;
+            ASSERT_EQ(out[1][b][offset + n], kGuard)
+                << ops->name << " n " << n << " offset " << offset;
+            for (std::size_t k = 0; k < offset + n; ++k) {
+              ASSERT_EQ(bits(out[0][b][k]), bits(out[1][b][k]))
+                  << ops->name << " buffer " << b << " n " << n << " offset "
+                  << offset << " k " << k;
+            }
           }
         }
       }

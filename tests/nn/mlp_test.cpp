@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "tape_oracle.hpp"
 #include "util/error.hpp"
@@ -116,6 +118,40 @@ TEST(Mlp, ForwardRejectsWrongInputWidth) {
 TEST(Mlp, ConstructorValidation) {
   EXPECT_THROW(Mlp(0, {1}, Activation::kTanh, Activation::kTanh), util::ValueError);
   EXPECT_THROW(Mlp(1, {}, Activation::kTanh, Activation::kTanh), util::ValueError);
+}
+
+/// Checks that net.packed_weights() holds each layer's W transposed.
+void expect_packed(const Mlp& net) {
+  const std::span<const double> params = net.params();
+  const std::span<const double> packed = net.packed_weights();
+  std::size_t w = 0;
+  std::size_t wt = 0;
+  for (const LayerSpec& layer : net.layers()) {
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      for (std::size_t i = 0; i < layer.in; ++i) {
+        ASSERT_EQ(packed[wt + i * layer.out + o], params[w + o * layer.in + i])
+            << "layer at " << w << " o " << o << " i " << i;
+      }
+    }
+    w += layer.in * layer.out + layer.out;
+    wt += layer.in * layer.out;
+  }
+  EXPECT_EQ(wt, packed.size());
+}
+
+TEST(Mlp, PackedWeightsFollowEveryWriter) {
+  Mlp net(3, {5, 4, 2}, Activation::kTanh, Activation::kIdentity);
+  EXPECT_EQ(net.packed_weights().size(), 3u * 5 + 5 * 4 + 4 * 2);
+  expect_packed(net);  // all zero
+  util::Rng rng(19);
+  net.init_xavier(rng);
+  expect_packed(net);
+  std::vector<double> params(net.num_params());
+  for (double& p : params) p = rng.uniform(-2.0, 2.0);
+  net.load_params(params);
+  expect_packed(net);
+  const Mlp copy = net;
+  expect_packed(copy);
 }
 
 TEST(Mlp, SaveLoadRoundTrip) {

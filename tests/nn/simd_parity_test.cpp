@@ -116,19 +116,20 @@ TEST_P(SimdParity, AllFourPassesMatchScalarWithinPinnedTolerance) {
   const std::vector<double> out_bar_dot =
       random_values(rng, kBatch * mlp.output_width());
 
-  ASSERT_TRUE(simd::set_enabled(true));
-  ASSERT_STREQ(simd::level_name(), "avx2-fma");
-  const PassOutputs vec = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
-
   ASSERT_FALSE(simd::set_enabled(false));
   ASSERT_STREQ(simd::level_name(), "scalar");
   const PassOutputs ref = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
 
-  expect_close(vec.forward_out, ref.forward_out, "forward");
-  expect_close(vec.x_bar, ref.x_bar, "x_bar");
-  expect_close(vec.jvp_out, ref.jvp_out, "jvp");
-  expect_close(vec.x_bar_dot, ref.x_bar_dot, "x_bar_dot");
-  expect_close(vec.param_hvp, ref.param_hvp, "param_hvp");
+  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (!simd::select(level)) continue;
+    const PassOutputs vec = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
+    SCOPED_TRACE(simd::level_name());
+    expect_close(vec.forward_out, ref.forward_out, "forward");
+    expect_close(vec.x_bar, ref.x_bar, "x_bar");
+    expect_close(vec.jvp_out, ref.jvp_out, "jvp");
+    expect_close(vec.x_bar_dot, ref.x_bar_dot, "x_bar_dot");
+    expect_close(vec.param_hvp, ref.param_hvp, "param_hvp");
+  }
 }
 
 TEST_P(SimdParity, RepeatedRunsAreBitIdenticalWithinOneDispatchLevel) {

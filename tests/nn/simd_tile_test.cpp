@@ -1,6 +1,6 @@
-// The AVX2 table's register tiles (dense_backward_input and
-// dense_param_grad_tangent) against the row loops they replaced
-// (simd_row_reference.cpp), byte for byte.
+// The vector tables' register tiles (dense_backward_input and
+// dense_param_grad_tangent, AVX2 and AVX-512) against the AVX2 row loops
+// they replaced (simd_row_reference.cpp), byte for byte.
 //
 // The grid covers every in and out from 1 to 17 (each vector block and
 // scalar tail of both tiles) plus the paper's layer shapes, batches that
@@ -93,16 +93,26 @@ std::string describe(const Shape& shape, std::size_t batch, double zero_share,
 class SimdTiles : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!available() || reference::avx2_row_kernels() == nullptr) {
+    if (table(Level::kAvx2) == nullptr ||
+        reference::avx2_row_kernels() == nullptr) {
       GTEST_SKIP() << "no AVX2/FMA kernels on this build/CPU";
     }
-    tiles_ = avx2_ops();
     rows_ = reference::avx2_row_kernels();
   }
 
-  /// Runs `check` over the whole grid, stopping at the first failing case.
+  /// Runs `check` over the whole grid for every vector table, stopping at
+  /// the first failing case.
   template <class Check>
   void over_grid(Check check) {
+    for (const Level level : {Level::kAvx2, Level::kAvx512}) {
+      tiles_ = table(level);
+      if (tiles_ != nullptr) over_grid_once(check);
+      if (HasFailure()) return;
+    }
+  }
+
+  template <class Check>
+  void over_grid_once(Check check) {
     util::Rng rng(2024);
     for (const Shape& shape : grid_shapes()) {
       for (const std::size_t batch : kBatches) {
@@ -133,7 +143,7 @@ TEST_F(SimdTiles, BackwardInputMatchesRowLoopByteForByte) {
     rows_->dense_backward_input(w.data(), zbar.data(), batch, in, out, want.data());
     tiles_->dense_backward_input(w.data(), zbar.data(), batch, in, out, got.data());
     ASSERT_TRUE(same_bytes(want, got))
-        << describe(shape, batch, zero_share, offset);
+        << tiles_->name << " " << describe(shape, batch, zero_share, offset);
     // A row's bits do not depend on the rows tiled with it.
     Buffer single(in, offset);
     for (std::size_t s = 0; s < batch; ++s) {
@@ -175,9 +185,9 @@ TEST_F(SimdTiles, ParamGradTangentMatchesRowLoopByteForByte) {
                                      zbardot.data(), batch, in, out,
                                      got_w.data(), got_b.data());
     ASSERT_TRUE(same_bytes(want_w, got_w))
-        << "whvp, " << describe(shape, batch, zero_share, offset);
+        << tiles_->name << " whvp, " << describe(shape, batch, zero_share, offset);
     ASSERT_TRUE(same_bytes(want_b, got_b))
-        << "bhvp, " << describe(shape, batch, zero_share, offset);
+        << tiles_->name << " bhvp, " << describe(shape, batch, zero_share, offset);
   });
 }
 
