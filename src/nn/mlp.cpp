@@ -74,9 +74,12 @@ std::vector<double> Mlp::forward(std::span<const double> x) const {
     const double* weights = params_.data() + offset;
     const double* biases = params_.data() + offset + layer.in * layer.out;
     for (std::size_t o = 0; o < layer.out; ++o) {
+      // The dense kernels' chain (nn/simd.hpp): one FMA per input, in order.
       double sum = biases[o];
       const double* row = weights + o * layer.in;
-      for (std::size_t i = 0; i < layer.in; ++i) sum += row[i] * current[i];
+      for (std::size_t i = 0; i < layer.in; ++i) {
+        sum = std::fma(current[i], row[i], sum);
+      }
       next[o] = apply(layer.activation, sum);
     }
     current.swap(next);

@@ -45,6 +45,7 @@ void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
 
   const simd::Ops& ops = simd::active();
   const double* params = mlp.params().data();
+  const double* packed = mlp.packed_weights().data();
   std::size_t offset = 0;
   const double* in_rows = x.data();
   // bar_a doubles as the pre-activation scratch z here; the backward pass
@@ -52,14 +53,14 @@ void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
   double* z = cache.bar_a.data();
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const LayerSpec& layer = layers[l];
-    const double* weights = params + offset;
-    const double* biases = weights + layer.in * layer.out;
-    ops.dense_forward(weights, biases, in_rows, batch, layer.in, layer.out, z);
+    const double* biases = params + offset + layer.in * layer.out;
+    ops.dense_forward(packed, biases, in_rows, batch, layer.in, layer.out, z);
     double* y = cache.y[l].data();
     double* spp = curvature == Curvature::kCache ? cache.spp[l].data() : nullptr;
     activate(layer.activation, z, y, cache.sp[l].data(), spp, batch * layer.out);
     in_rows = y;
     offset += layer.in * layer.out + layer.out;
+    packed += layer.in * layer.out;
   }
 }
 
@@ -119,24 +120,22 @@ void mlp_jvp_batch(const Mlp& mlp, std::span<const double> xdot,
   size_layer_buffers(cache.ydot, layers, batch);
 
   const simd::Ops& ops = simd::active();
-  const double* params = mlp.params().data();
-  std::size_t offset = 0;
+  const double* packed = mlp.packed_weights().data();
   const double* in_rows = xdot.data();
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const LayerSpec& layer = layers[l];
-    const double* weights = params + offset;
     const double* sp = cache.sp[l].data();
     double* zdot = cache.zdot[l].data();
     double* ydot = cache.ydot[l].data();
     // Parameter tangents are zero, so there is no Wdot x term: the tangent
     // pre-activation is a bias-free forward through the primal weights.
-    ops.dense_forward(weights, nullptr, in_rows, batch, layer.in, layer.out,
+    ops.dense_forward(packed, nullptr, in_rows, batch, layer.in, layer.out,
                       zdot);
     for (std::size_t k = 0; k < batch * layer.out; ++k) {
       ydot[k] = sp[k] * zdot[k];
     }
     in_rows = ydot;
-    offset += layer.in * layer.out + layer.out;
+    packed += layer.in * layer.out;
   }
 }
 

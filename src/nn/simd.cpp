@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 
 #include "nn/simd_tanh_core.hpp"
@@ -14,9 +13,9 @@ namespace dpho::nn::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar table: plain loops.  The dense rows keep the arithmetic (and skip
-// conditions) of the original mlp_kernels inner loops; the tanh pass runs
-// the core element by element.
+// Scalar table: plain loops.  Every dense element is the FMA chain simd.hpp
+// specifies, through std::fma, which rounds once whether or not the CPU
+// has an FMA unit; the tanh pass runs the core element by element.
 
 /// The tanh core (simd_tanh_core.hpp), one element.
 double scalar_tanh_core(double x) {
@@ -40,35 +39,36 @@ double scalar_tanh_core(double x) {
   return std::copysign(-e / (2.0 + e), x);
 }
 
-void scalar_dense_forward(const double* w, const double* bias, const double* x,
-                          std::size_t batch, std::size_t in, std::size_t out,
-                          double* z) {
+/// c[s,j] = fma(a[s,K-1], m[K-1,j], ... fma(a[s,0], m[0,j], init[j])) for
+/// every sample s, from +0 when init is null: a has rows of k_count values,
+/// m and c rows of j_count.  Row by row of m, so every load is contiguous.
+void scalar_chain(const double* m, const double* a, const double* init,
+                  std::size_t batch, std::size_t k_count, std::size_t j_count,
+                  double* c) {
   for (std::size_t s = 0; s < batch; ++s) {
-    const double* xs = x + s * in;
-    double* zs = z + s * out;
-    for (std::size_t o = 0; o < out; ++o) {
-      double acc = bias != nullptr ? bias[o] : 0.0;
-      const double* wrow = w + o * in;
-      for (std::size_t i = 0; i < in; ++i) acc += wrow[i] * xs[i];
-      zs[o] = acc;
+    const double* as = a + s * k_count;
+    double* cs = c + s * j_count;
+    for (std::size_t j = 0; j < j_count; ++j) {
+      cs[j] = init != nullptr ? init[j] : 0.0;
+    }
+    for (std::size_t k = 0; k < k_count; ++k) {
+      const double ak = as[k];
+      const double* mk = m + k * j_count;
+      for (std::size_t j = 0; j < j_count; ++j) cs[j] = std::fma(ak, mk[j], cs[j]);
     }
   }
+}
+
+void scalar_dense_forward(const double* wt, const double* bias, const double* x,
+                          std::size_t batch, std::size_t in, std::size_t out,
+                          double* z) {
+  scalar_chain(wt, x, bias, batch, in, out, z);
 }
 
 void scalar_dense_backward_input(const double* w, const double* zbar,
                                  std::size_t batch, std::size_t in,
                                  std::size_t out, double* ybar) {
-  std::memset(ybar, 0, batch * in * sizeof(double));
-  for (std::size_t s = 0; s < batch; ++s) {
-    const double* zrow = zbar + s * out;
-    double* yrow = ybar + s * in;
-    for (std::size_t o = 0; o < out; ++o) {
-      const double z = zrow[o];
-      if (z == 0.0) continue;
-      const double* wrow = w + o * in;
-      for (std::size_t i = 0; i < in; ++i) yrow[i] += z * wrow[i];
-    }
-  }
+  scalar_chain(w, zbar, nullptr, batch, out, in, ybar);
 }
 
 void scalar_dense_param_grad_tangent(const double* x, const double* xdot,
@@ -86,7 +86,9 @@ void scalar_dense_param_grad_tangent(const double* x, const double* xdot,
       const double z = zrow[o];
       bhvp[o] += zd;
       double* wrow = whvp + o * in;
-      for (std::size_t i = 0; i < in; ++i) wrow[i] += zd * xs[i] + z * xds[i];
+      for (std::size_t i = 0; i < in; ++i) {
+        wrow[i] = std::fma(z, xds[i], std::fma(zd, xs[i], wrow[i]));
+      }
     }
   }
 }

@@ -5,13 +5,13 @@
 // exposes them behind a function table that is resolved once at first use,
 // to the best of three levels the running CPU can run:
 //
-//   * an AVX-512 table when the CPU reports AVX-512F: the dense operations
-//     in src/nn/simd_avx512.cpp and the tanh pass in
+//   * an AVX-512 table when the CPU reports AVX-512F: 8-sample x 16-column
+//     dense tiles in src/nn/simd_avx512.cpp and the tanh pass in
 //     src/nn/simd_avx512_tanh.cpp (both -mavx512f),
-//   * an AVX2 table when the CPU reports AVX2 and FMA: the dense operations
-//     in src/nn/simd_avx2.cpp (-mavx2 -mfma) and the tanh pass in
-//     src/nn/simd_avx2_tanh.cpp (-mavx2 only), and
-//   * a portable scalar table of plain loops.
+//   * an AVX2 table when the CPU reports AVX2 and FMA: 4-sample x 8-column
+//     dense tiles in src/nn/simd_avx2.cpp (-mavx2 -mfma) and the tanh pass
+//     in src/nn/simd_avx2_tanh.cpp (-mavx2 only), and
+//   * a portable scalar table of plain loops over std::fma.
 //
 // Both vector tables are compiled when DPHO_ENABLE_SIMD is ON; the
 // DPHO_ENABLE_SIMD=OFF build (the simd-off preset) compiles the scalar
@@ -19,20 +19,18 @@
 // scalar one at runtime (perfbench's SIMD-off runs); select() picks any
 // level, which is how the tests drive every table in one process.
 //
-// Determinism: the AVX2 forward kernel splits dot products across vector
-// lanes, so its reduction order differs from scalar and results can differ
-// from the scalar path by FMA-contraction-sized rounding (the parity tests
-// pin the tolerance); the AVX-512 table runs the same forward.  The
-// backward-input and param-grad-tangent kernels of both vector tables are
-// register tiles over several samples, but each output element keeps the
-// scalar loops' order of terms, so they differ from scalar by FMA
-// contraction only and a row's bits never depend on the rows tiled with
-// it; the two vector tables agree bit for bit.  The tanh pass runs one
-// core in every table with the same operations in the same order and no
-// FMA, so they agree bit for bit at every length and offset.  Within any
-// table, results are bit-reproducible and independent of thread count:
-// dispatch state is process-global and the kernels carry no per-thread
-// state.
+// Determinism: every dense output element is one FMA chain over its terms
+// in ascending order, from its bias, its accumulator or +0 (see each Ops
+// entry).  A correctly rounded FMA chain's bits depend on neither the
+// vector width nor the tile shape, so the three tables agree bit for bit
+// on every dense operation: the vector tables run register tiles over
+// several samples with every FMA written out (their TUs build with
+// -ffp-contract=off), and the scalar table runs the same chains through
+// std::fma.  The tanh pass runs one core in every table with the same
+// operations in the same order and no FMA, so it agrees bit for bit as
+// well.  A value therefore never depends on the table, the batch it sits
+// in, its position there or the thread count: dispatch state is
+// process-global and the kernels carry no per-thread state.
 #pragma once
 
 #include <cstddef>
@@ -41,20 +39,23 @@ namespace dpho::nn::simd {
 
 /// The operation table one dispatch level provides.  All batches are
 /// sample-major: x is batch rows of `in` values, z is batch rows of `out`
-/// values, weights are row-major [out][in].
+/// values.  W is [out][in] row-major as in Mlp::params(), and wt the same
+/// weights input-major, [in][out], as in Mlp::packed_weights().
 struct Ops {
-  /// z[s,o] = (bias ? bias[o] : 0) + sum_i w[o,i] x[s,i]
-  void (*dense_forward)(const double* w, const double* bias, const double* x,
+  /// z[s,o] = bias[o] + sum_i wt[i,o] x[s,i]: from bias[o], or +0 when bias
+  /// is null, one fma(x[s,i], wt[i,o], acc) per i in ascending order
+  void (*dense_forward)(const double* wt, const double* bias, const double* x,
                         std::size_t batch, std::size_t in, std::size_t out,
                         double* z);
-  /// ybar[s,i] = sum_o w[o,i] zbar[s,o]   (overwrites ybar), each element
-  /// summed over ascending o from +0
+  /// ybar[s,i] = sum_o w[o,i] zbar[s,o] (overwrites ybar): from +0, one
+  /// fma(zbar[s,o], w[o,i], acc) per o in ascending order
   void (*dense_backward_input)(const double* w, const double* zbar,
                                std::size_t batch, std::size_t in,
                                std::size_t out, double* ybar);
-  /// whvp[o,i] += sum_s (zbardot[s,o] x[s,i] + zbar[s,o] xdot[s,i]);
-  /// bhvp[o] += sum_s zbardot[s,o], each element over ascending s (the d/de
-  /// of the parameter gradient sum_s zbar[s,o] x[s,i])
+  /// whvp[o,i] += sum_s (zbardot[s,o] x[s,i] + zbar[s,o] xdot[s,i]), the
+  /// d/de of the parameter gradient sum_s zbar[s,o] x[s,i]: per s in
+  /// ascending order, w = fma(zbar, xdot, fma(zbardot, x, w)).  bhvp[o] +=
+  /// zbardot[s,o], added over ascending s.
   void (*dense_param_grad_tangent)(const double* x, const double* xdot,
                                    const double* zbar, const double* zbardot,
                                    std::size_t batch, std::size_t in,

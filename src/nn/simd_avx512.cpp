@@ -4,13 +4,12 @@
 // table's tanh pass lives in simd_avx512_tanh.cpp.  Everything else stays at
 // the baseline ISA and reaches these through the simd::active() dispatch
 // table, which only selects this table after __builtin_cpu_supports()
-// confirms the running CPU has AVX-512F (and AVX2/FMA).
+// confirms the running CPU has AVX-512F.
 //
-// The backward-input and param-grad-tangent kernels are 8-row x 16-column
-// register tiles whose column tails run as masked vectors.  Each output
-// element takes one FMA per term, in the same order as in the AVX2 table,
-// so the two vector tables agree bit for bit and an element's bits depend
-// on its own row alone.  The forward is the AVX2 row kernel.
+// The kernels are 8-row x 16-column register tiles whose column tails run
+// as masked vectors.  Each output element takes one FMA per term in the
+// order simd.hpp specifies, so it has the scalar table's bits and never
+// depends on the rows tiled with it.
 #include "nn/simd.hpp"
 
 #if defined(DPHO_SIMD_AVX512)
@@ -18,7 +17,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <type_traits>
 
 #include "nn/simd_tanh_core.hpp"
@@ -74,20 +72,26 @@ void in_column_blocks(std::size_t count, Block&& block) {
 // unrolled, hence the `#pragma GCC unroll` on each.
 
 /// Columns [j, j + 8 V) of R rows of the chain
-///   c[r, j] = fma(a[r, K-1], m[K-1, j], ... fma(a[r, 0], m[0, j], +0))
-/// a has rows of k_count values, m and c rows of j_count; `last` masks the
-/// lanes of the final vector.
+///   c[r, j] = fma(a[r, K-1], m[K-1, j], ... fma(a[r, 0], m[0, j], init[j]))
+/// from +0 when init is null: a and c point at the tile's first row, a has
+/// rows of k_count values, m and c rows of j_count; `last` masks the lanes
+/// of the final vector.  The sums walk k in ascending order, loading
+/// m[k, j..] once for all R rows.  dense_forward runs it over wt (k = i,
+/// j = o) and dense_backward_input over w (k = o, j = i).
 template <std::size_t R, std::size_t V>
-inline void chain_block(const double* m, const double* a, std::size_t k_count,
-                        std::size_t j_count, std::size_t j, __mmask8 last,
-                        double* c) {
+inline void chain_block(const double* m, const double* a, const double* init,
+                        std::size_t k_count, std::size_t j_count, std::size_t j,
+                        __mmask8 last, double* c) {
   __mmask8 mask[V];
   __m512d acc[R][V];
   #pragma GCC unroll 2
   for (std::size_t v = 0; v < V; ++v) {
     mask[v] = v + 1 < V ? __mmask8{0xff} : last;
+    const __m512d start = init != nullptr
+                              ? _mm512_maskz_loadu_pd(mask[v], init + j + 8 * v)
+                              : _mm512_setzero_pd();
     #pragma GCC unroll 8
-    for (std::size_t r = 0; r < R; ++r) acc[r][v] = _mm512_setzero_pd();
+    for (std::size_t r = 0; r < R; ++r) acc[r][v] = start;
   }
   for (std::size_t k = 0; k < k_count; ++k) {
     __m512d mv[V];
@@ -113,20 +117,34 @@ inline void chain_block(const double* m, const double* a, std::size_t k_count,
   }
 }
 
-void avx512_dense_backward_input(const double* w, const double* zbar,
-                                 std::size_t batch, std::size_t in,
-                                 std::size_t out, double* ybar) {
+/// dense_forward and dense_backward_input: the chain over batch rows of a.
+void chain(const double* m, const double* a, const double* init,
+           std::size_t batch, std::size_t k_count, std::size_t j_count,
+           double* c) {
   in_blocks_of_8(batch, [&](auto rows, std::size_t s) {
-    in_column_blocks(in, [&](auto vectors, std::size_t i, __mmask8 last) {
+    in_column_blocks(j_count, [&](auto vectors, std::size_t j, __mmask8 last) {
       chain_block<decltype(rows)::value, decltype(vectors)::value>(
-          w, zbar + s * out, out, in, i, last, ybar + s * in);
+          m, a + s * k_count, init, k_count, j_count, j, last, c + s * j_count);
     });
   });
 }
 
+void avx512_dense_forward(const double* wt, const double* bias, const double* x,
+                          std::size_t batch, std::size_t in, std::size_t out,
+                          double* z) {
+  chain(wt, x, bias, batch, in, out, z);
+}
+
+void avx512_dense_backward_input(const double* w, const double* zbar,
+                                 std::size_t batch, std::size_t in,
+                                 std::size_t out, double* ybar) {
+  chain(w, zbar, nullptr, batch, out, in, ybar);
+}
+
 /// Samples per dense_param_grad_tangent block, as in the AVX2 table: every
 /// register tile of a block re-reads the block's x and xdot rows, so the
-/// block keeps them in cache.
+/// block keeps them in cache.  Blocks run in ascending order, so each
+/// element still sees the samples in ascending order.
 constexpr std::size_t kTangentSampleBlock = 64;
 
 /// Columns [i, i + 8 V) of R output rows of dense_param_grad_tangent over
@@ -182,14 +200,10 @@ void avx512_dense_param_grad_tangent(const double* x, const double* xdot,
                                      std::size_t batch, std::size_t in,
                                      std::size_t out, double* whvp,
                                      double* bhvp) {
-  // The AVX2 table runs the last in % 4 columns as its row loop's scalar
-  // expression, contracted by GCC into w + fma(zd, x, z * xd); those
-  // columns do the same here, written out, so both tables agree.
-  const std::size_t tiled = in - in % 4;
   for (std::size_t s0 = 0; s0 < batch; s0 += kTangentSampleBlock) {
     const std::size_t samples = std::min(kTangentSampleBlock, batch - s0);
     in_blocks_of_8(out, [&](auto rows, std::size_t o) {
-      in_column_blocks(tiled, [&](auto vectors, std::size_t i, __mmask8 last) {
+      in_column_blocks(in, [&](auto vectors, std::size_t i, __mmask8 last) {
         tangent_block<decltype(rows)::value, decltype(vectors)::value>(
             x + s0 * in, xdot + s0 * in, zbar + s0 * out + o,
             zbardot + s0 * out + o, samples, in, out, i, last, whvp + o * in);
@@ -197,24 +211,12 @@ void avx512_dense_param_grad_tangent(const double* x, const double* xdot,
     });
   }
   for (std::size_t s = 0; s < batch; ++s) {
-    const double* xs = x + s * in;
-    const double* xds = xdot + s * in;
-    for (std::size_t o = 0; o < out; ++o) {
-      const double zd = zbardot[s * out + o];
-      const double z = zbar[s * out + o];
-      double* wrow = whvp + o * in;
-      for (std::size_t i = tiled; i < in; ++i) {
-        wrow[i] = wrow[i] + std::fma(zd, xs[i], z * xds[i]);
-      }
-    }
-  }
-  for (std::size_t s = 0; s < batch; ++s) {
     const double* zdrow = zbardot + s * out;
     for (std::size_t o = 0; o < out; ++o) bhvp[o] += zdrow[o];
   }
 }
 
-constexpr Ops kAvx512Ops = {avx2_dense_forward, avx512_dense_backward_input,
+constexpr Ops kAvx512Ops = {avx512_dense_forward, avx512_dense_backward_input,
                             avx512_dense_param_grad_tangent, avx512_tanh,
                             "avx512f"};
 

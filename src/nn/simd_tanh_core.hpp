@@ -43,11 +43,6 @@ void avx2_tanh(const double* z, double* y, double* sp, double* spp,
 /// The AVX-512 table's tanh entry (simd_avx512_tanh.cpp).
 void avx512_tanh(const double* z, double* y, double* sp, double* spp,
                  std::size_t n);
-/// The AVX2 row-kernel forward (simd_avx2.cpp), which the AVX-512 table
-/// shares.
-void avx2_dense_forward(const double* w, const double* bias, const double* x,
-                        std::size_t batch, std::size_t in, std::size_t out,
-                        double* z);
 
 /// The compiled vector tables, or nullptr when the build left them out
 /// (DPHO_ENABLE_SIMD=OFF or a compiler without the ISA flags).  They say

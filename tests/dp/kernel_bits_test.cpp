@@ -1,6 +1,6 @@
 // Pinned bits of the DeepPot-SE kernels at paper widths.
 //
-// Each dispatch table must reproduce, bit for bit, three outputs of one
+// Every dispatch table must reproduce, bit for bit, three outputs of one
 // 160-atom melt frame under a paper-width model (25/50/100 embedding nets,
 // 240x3 fitting nets, tanh): a Potential::evaluate (energy and forces), one
 // FastGraph::loss_and_grad gradient, and the forces of one MdSession::compute
@@ -10,11 +10,10 @@
 // transcendental libm call, and tanh comes from the tables' own core, so
 // the hashes depend on the kernels alone.
 //
-// The scalar table is pinned in every build.  The vector tables (AVX2 and
-// AVX-512, which agree bit for bit) are pinned only in optimized builds:
-// GCC contracts the AVX2 kernels' scalar tails (a * b + c) into FMAs at -O1
-// and above but not at -O0, so the Debug-built sanitizer presets round
-// those tails differently.
+// All tables share one set of pins, in every build type: every dense
+// element is an FMA chain written out in the source and no simd TU lets the
+// compiler contract a*b + c, so neither the table nor the optimization
+// level can move a bit.  A level this build or CPU lacks is skipped.
 //
 // A change that keeps every kernel bit (a retiling, a new dispatch level
 // that matches an old one) must pass these unchanged.  A declared bit change
@@ -124,41 +123,39 @@ KernelHashes hash_kernels() {
   return out;
 }
 
-/// Restores the dispatch state the test found.
-class KernelBits : public ::testing::Test {
+/// Runs one dispatch table and restores the state the test found.
+class KernelBits : public ::testing::TestWithParam<nn::simd::Level> {
  protected:
-  void SetUp() override { was_enabled_ = nn::simd::enabled(); }
+  void SetUp() override {
+    was_enabled_ = nn::simd::enabled();
+    if (!nn::simd::select(GetParam())) {
+      GTEST_SKIP() << "this build or CPU has no such table";
+    }
+  }
   void TearDown() override { nn::simd::set_enabled(was_enabled_); }
 
  private:
   bool was_enabled_ = false;
 };
 
-TEST_F(KernelBits, ScalarTableIsPinned) {
-  ASSERT_FALSE(nn::simd::set_enabled(false));
-  const KernelHashes got = hash_kernels();
-  EXPECT_EQ(got.evaluate, "8f93683d55d81b00");
-  EXPECT_EQ(got.gradient, "5c8d7c8ef43df611");
-  EXPECT_EQ(got.md_forces, "d21af80a85aefa08");
-}
+INSTANTIATE_TEST_SUITE_P(Table, KernelBits,
+                         ::testing::Values(nn::simd::Level::kScalar,
+                                           nn::simd::Level::kAvx2,
+                                           nn::simd::Level::kAvx512),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
+                             case nn::simd::Level::kAvx2: return "avx2";
+                             case nn::simd::Level::kAvx512: return "avx512";
+                             case nn::simd::Level::kScalar: break;
+                           }
+                           return "scalar";
+                         });
 
-TEST_F(KernelBits, Avx2TableIsPinnedInOptimizedBuilds) {
-#if !defined(__OPTIMIZE__)
-  GTEST_SKIP() << "unoptimized build: the AVX2 tails are not FMA-contracted";
-#else
-  if (!nn::simd::available()) {
-    GTEST_SKIP() << "no vector kernels on this build/CPU";
-  }
-  for (const nn::simd::Level level :
-       {nn::simd::Level::kAvx2, nn::simd::Level::kAvx512}) {
-    if (!nn::simd::select(level)) continue;
-    SCOPED_TRACE(nn::simd::level_name());
-    const KernelHashes got = hash_kernels();
-    EXPECT_EQ(got.evaluate, "20c0e0b87f9c2870");
-    EXPECT_EQ(got.gradient, "4f8fbcafce56fb7a");
-    EXPECT_EQ(got.md_forces, "c9bd7c6f946432c8");
-  }
-#endif
+TEST_P(KernelBits, HashesArePinned) {
+  const KernelHashes got = hash_kernels();
+  EXPECT_EQ(got.evaluate, "d86d27c1abb00cce");
+  EXPECT_EQ(got.gradient, "16249732d9c59e8a");
+  EXPECT_EQ(got.md_forces, "5467d156183507a5");
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/simd.hpp"
 #include "tape_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -100,23 +99,9 @@ INSTANTIATE_TEST_SUITE_P(All, KernelActivations,
                            return to_string(param_info.param);
                          });
 
-/// Pins the kernel dispatch to scalar for one test's scope: bit-exactness
-/// against the per-row reference only holds for the scalar table (the AVX2
-/// forward reduces dot products in a different order; simd_parity_test.cpp
-/// owns the vector-vs-scalar bound).
-class ScopedScalarKernels {
- public:
-  ScopedScalarKernels() : was_enabled_(simd::enabled()) {
-    simd::set_enabled(false);
-  }
-  ~ScopedScalarKernels() { simd::set_enabled(was_enabled_); }
-
- private:
-  bool was_enabled_;
-};
-
+// Mlp::forward runs the dense kernels' FMA chain and the same activation
+// pass, so every table's batch reproduces it bit for bit.
 TEST_P(KernelActivations, BatchedForwardMatchesPerRowForward) {
-  ScopedScalarKernels scalar_only;
   const Mlp mlp = make_mlp(GetParam(), 7);
   util::Rng rng(11);
   const std::vector<double> x = random_values(rng, kBatch * kIn);
@@ -126,7 +111,7 @@ TEST_P(KernelActivations, BatchedForwardMatchesPerRowForward) {
     const std::vector<double> expected =
         mlp.forward(std::span(x).subspan(s * kIn, kIn));
     for (std::size_t k = 0; k < expected.size(); ++k) {
-      EXPECT_DOUBLE_EQ(cache.out()[s * mlp.output_width() + k], expected[k])
+      EXPECT_EQ(cache.out()[s * mlp.output_width() + k], expected[k])
           << "sample " << s << " output " << k;
     }
   }

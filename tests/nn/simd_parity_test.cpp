@@ -1,18 +1,14 @@
-// SIMD-vs-scalar parity for the dispatched dense-layer kernels, over every
-// activation, via the four public mlp_kernels passes run twice -- once with
-// the vector table forced on, once forced off.
+// Vector-vs-scalar parity for the dispatched kernels, over every
+// activation, via the four public mlp_kernels passes run once per table
+// this build and CPU have.
 //
-// Tolerance contract (documented in DESIGN.md section 13): the accumulate
-// kernels (param_grad_tangent, backward_input) keep the scalar per-element
-// order and differ from scalar only by FMA contraction, but the
-// AVX2 forward splits each dot product across four lanes, which reorders the
-// reduction.  Both effects are bounded by a few ULPs per reduction term, so
-// parity is pinned at kTol = 1e-13 relative -- far below any model-level
-// signal, far above what an indexing or masking bug could sneak under.
-// Within one dispatch level results stay bit-reproducible.
+// The pinned tolerance is zero (DESIGN.md section 13): every dense element
+// of every table is the same FMA chain and the tanh pass runs one core, so
+// each vector table must reproduce the scalar table's bits.  Each table is
+// also bit-reproducible run to run.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/mlp_kernels.hpp"
@@ -22,9 +18,7 @@
 namespace dpho::nn {
 namespace {
 
-constexpr double kTol = 1e-13;  // relative, pinned -- see header comment
-
-// Odd sizes on purpose: every AVX2 kernel has to run its scalar tails.
+// Odd sizes on purpose: every vector kernel has to run its tails.
 constexpr std::size_t kIn = 7;
 constexpr std::size_t kBatch = 9;
 
@@ -41,12 +35,12 @@ std::vector<double> random_values(util::Rng& rng, std::size_t count) {
   return values;
 }
 
-void expect_close(const std::vector<double>& simd,
-                  const std::vector<double>& scalar, const char* what) {
-  ASSERT_EQ(simd.size(), scalar.size()) << what;
-  for (std::size_t k = 0; k < simd.size(); ++k) {
-    const double scale = std::max(1.0, std::abs(scalar[k]));
-    EXPECT_NEAR(simd[k], scalar[k], kTol * scale) << what << "[" << k << "]";
+void expect_same_bits(const std::vector<double>& vec,
+                      const std::vector<double>& scalar, const char* what) {
+  ASSERT_EQ(vec.size(), scalar.size()) << what;
+  for (std::size_t k = 0; k < vec.size(); ++k) {
+    EXPECT_EQ(std::memcmp(&vec[k], &scalar[k], sizeof(double)), 0)
+        << what << "[" << k << "]: " << vec[k] << " against " << scalar[k];
   }
 }
 
@@ -81,11 +75,20 @@ PassOutputs run_all_passes(const Mlp& mlp, const std::vector<double>& x,
   return result;
 }
 
+/// The vector levels this build compiled and the running CPU can run.
+std::vector<simd::Level> vector_levels() {
+  std::vector<simd::Level> levels;
+  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::table(level) != nullptr) levels.push_back(level);
+  }
+  return levels;
+}
+
 class SimdParity : public ::testing::TestWithParam<Activation> {
  protected:
   void SetUp() override {
     if (!simd::available()) {
-      GTEST_SKIP() << "no AVX2/FMA kernels on this build/CPU";
+      GTEST_SKIP() << "no vector kernels on this build/CPU";
     }
     was_enabled_ = simd::enabled();
   }
@@ -120,15 +123,15 @@ TEST_P(SimdParity, AllFourPassesMatchScalarWithinPinnedTolerance) {
   ASSERT_STREQ(simd::level_name(), "scalar");
   const PassOutputs ref = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
 
-  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
-    if (!simd::select(level)) continue;
-    const PassOutputs vec = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
+  for (const simd::Level level : vector_levels()) {
+    ASSERT_TRUE(simd::select(level));
     SCOPED_TRACE(simd::level_name());
-    expect_close(vec.forward_out, ref.forward_out, "forward");
-    expect_close(vec.x_bar, ref.x_bar, "x_bar");
-    expect_close(vec.jvp_out, ref.jvp_out, "jvp");
-    expect_close(vec.x_bar_dot, ref.x_bar_dot, "x_bar_dot");
-    expect_close(vec.param_hvp, ref.param_hvp, "param_hvp");
+    const PassOutputs vec = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
+    expect_same_bits(vec.forward_out, ref.forward_out, "forward");
+    expect_same_bits(vec.x_bar, ref.x_bar, "x_bar");
+    expect_same_bits(vec.jvp_out, ref.jvp_out, "jvp");
+    expect_same_bits(vec.x_bar_dot, ref.x_bar_dot, "x_bar_dot");
+    expect_same_bits(vec.param_hvp, ref.param_hvp, "param_hvp");
   }
 }
 
@@ -142,8 +145,11 @@ TEST_P(SimdParity, RepeatedRunsAreBitIdenticalWithinOneDispatchLevel) {
   const std::vector<double> out_bar_dot =
       random_values(rng, kBatch * mlp.output_width());
 
-  for (const bool on : {true, false}) {
-    simd::set_enabled(on);
+  std::vector<simd::Level> levels = vector_levels();
+  levels.push_back(simd::Level::kScalar);
+  for (const simd::Level level : levels) {
+    ASSERT_TRUE(simd::select(level));
+    SCOPED_TRACE(simd::level_name());
     const PassOutputs a = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
     const PassOutputs b = run_all_passes(mlp, x, xdot, out_bar, out_bar_dot);
     EXPECT_EQ(a.forward_out, b.forward_out);
@@ -161,6 +167,22 @@ TEST(SimdDispatch, SetEnabledReportsResultingState) {
   EXPECT_STREQ(simd::level_name(), "scalar");
   const bool on = simd::set_enabled(true);
   EXPECT_EQ(on, simd::available());  // enabling is a no-op without the table
+  // Enabling picks the best table the CPU runs.
+  const simd::Ops* best = simd::table(simd::Level::kAvx512);
+  if (best == nullptr) best = simd::table(simd::Level::kAvx2);
+  if (best == nullptr) best = &simd::scalar_ops();
+  EXPECT_EQ(&simd::active(), best);
+  EXPECT_STREQ(simd::level_name(), best->name);
+  // select() takes any level the CPU runs and refuses the rest.
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    const simd::Ops* ops = simd::table(level);
+    EXPECT_EQ(simd::select(level), ops != nullptr);
+    if (ops != nullptr) {
+      EXPECT_EQ(&simd::active(), ops);
+    }
+  }
+  EXPECT_NE(simd::table(simd::Level::kScalar), nullptr);
   simd::set_enabled(was);
 }
 

@@ -1,15 +1,21 @@
-// The vector tables' register tiles (dense_backward_input and
-// dense_param_grad_tangent, AVX2 and AVX-512) against the AVX2 row loops
-// they replaced (simd_row_reference.cpp), byte for byte.
+// Every vector table's dense kernels against the scalar table, byte for
+// byte: dense_forward (with a bias, and without one as the JVP runs it),
+// dense_backward_input and dense_param_grad_tangent.  Every element of
+// every table is the FMA chain nn/simd.hpp specifies, so its bits may not
+// depend on the vector width, the tile shape or the rows tiled with it.
+// The scalar table computes each row on its own, so matching it also
+// proves that a row's bits do not depend on its batch.
 //
-// The grid covers every in and out from 1 to 17 (each vector block and
-// scalar tail of both tiles) plus the paper's layer shapes, batches that
-// fill whole 4-row and 64-sample blocks and batches that leave remainders,
-// adjoints with 1 in 7 and with half of them exactly +-0 (the row loop
-// skipped zero adjoints in backward_input; the tile does not), nonzero
-// starting parameter tangents, and buffers at every offset 0-3 doubles
-// from an allocation's start.  It also checks that a backward_input row
-// has the same bits in a batch as on its own.
+// The grid covers every in and out from 1 to 17 (each full vector block
+// and each masked or scalar tail of the tiles) plus the paper's layer
+// shapes; batches 1-9, 15-17, 63-65 and 129, which fill whole 4- and 8-row
+// tiles and 64-sample blocks and leave remainders; inputs and adjoints
+// with 1 in 7 and with half of them exactly +-0; nonzero starting
+// parameter tangents; and buffers at every offset of 0-7 doubles from an
+// allocation's start, so loads and stores see every 8-byte alignment mod
+// 64.  The small shapes run every (batch, zero share) pair and the paper
+// shapes each batch once; the offsets cycle through the cases, so each
+// shape meets every offset.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "nn/simd.hpp"
-#include "simd_row_reference.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::nn::simd {
@@ -29,36 +34,33 @@ struct Shape {
   std::size_t out;
 };
 
-std::vector<Shape> grid_shapes() {
-  std::vector<Shape> shapes;
-  for (std::size_t in = 1; in <= 17; ++in) {
-    for (std::size_t out = 1; out <= 17; ++out) shapes.push_back({in, out});
-  }
-  // Embedding layers 1x25, 25x50, 50x100; fitting layers 400x240 (a
-  // 100 x 4 descriptor), 240x240 and the 240x1 output.
-  for (const Shape paper : {Shape{1, 25}, Shape{25, 50}, Shape{50, 100},
-                            Shape{400, 240}, Shape{240, 240}, Shape{240, 1}}) {
-    shapes.push_back(paper);
-  }
-  return shapes;
-}
+// Embedding layers 1x25, 25x50, 50x100; fitting layers 400x240 (a 100 x 4
+// descriptor), 240x240 and the 240x1 output.
+constexpr Shape kPaperShapes[] = {{1, 25},    {25, 50},   {50, 100},
+                                  {400, 240}, {240, 240}, {240, 1}};
 
-constexpr std::size_t kBatches[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 129};
+constexpr std::size_t kBatches[] = {1,  2,  3,  4,  5,  6,  7,  8,
+                                    9,  15, 16, 17, 63, 64, 65, 129};
 
-/// Share of adjoints set to exactly +-0 (signs alternate).
+/// Share of values set to exactly +-0 (signs alternate).
 constexpr double kZeroShares[] = {1.0 / 7.0, 0.5};
 
+constexpr std::size_t kOffsets = 8;
+
 /// A buffer of `count` doubles that starts `offset` doubles into its
-/// allocation, so loads and stores see every 8-byte alignment mod 32.
+/// allocation.  The slack on both sides holds NaN, so a kernel that reads
+/// or writes past either end shows up in the bytes compared.
 class Buffer {
  public:
   Buffer(std::size_t count, std::size_t offset)
-      : storage_(count + offset, std::numeric_limits<double>::quiet_NaN()),
-        offset_(offset),
+      : storage_(count + kOffsets, std::numeric_limits<double>::quiet_NaN()),
+        offset_(offset % kOffsets),
         count_(count) {}
   double* data() { return storage_.data() + offset_; }
   const double* data() const { return storage_.data() + offset_; }
   std::size_t size() const { return count_; }
+  /// The whole allocation, slack included.
+  const std::vector<double>& storage() const { return storage_; }
 
  private:
   std::vector<double> storage_;
@@ -78,116 +80,144 @@ void fill(util::Rng& rng, Buffer& buffer, double zero_share = 0.0) {
   }
 }
 
+/// Two buffers hold the same bytes, their NaN slack included.
 bool same_bytes(const Buffer& a, const Buffer& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  return a.storage().size() == b.storage().size() &&
+         std::memcmp(a.storage().data(), b.storage().data(),
+                     a.storage().size() * sizeof(double)) == 0;
 }
 
-std::string describe(const Shape& shape, std::size_t batch, double zero_share,
-                     std::size_t offset) {
-  return "in " + std::to_string(shape.in) + " out " + std::to_string(shape.out) +
-         " batch " + std::to_string(batch) + " zero share " +
-         std::to_string(zero_share) + " offset " + std::to_string(offset);
-}
+/// One case of the grid.
+struct Case {
+  Shape shape;
+  std::size_t batch;
+  double zero_share;
+  std::size_t offset;
 
-class SimdTiles : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (table(Level::kAvx2) == nullptr ||
-        reference::avx2_row_kernels() == nullptr) {
-      GTEST_SKIP() << "no AVX2/FMA kernels on this build/CPU";
-    }
-    rows_ = reference::avx2_row_kernels();
+  std::string describe() const {
+    return "in " + std::to_string(shape.in) + " out " + std::to_string(shape.out) +
+           " batch " + std::to_string(batch) + " zero share " +
+           std::to_string(zero_share) + " offset " + std::to_string(offset);
   }
+};
 
-  /// Runs `check` over the whole grid for every vector table, stopping at
-  /// the first failing case.
-  template <class Check>
-  void over_grid(Check check) {
-    for (const Level level : {Level::kAvx2, Level::kAvx512}) {
-      tiles_ = table(level);
-      if (tiles_ != nullptr) over_grid_once(check);
-      if (HasFailure()) return;
-    }
-  }
-
-  template <class Check>
-  void over_grid_once(Check check) {
-    util::Rng rng(2024);
-    for (const Shape& shape : grid_shapes()) {
+std::vector<Case> grid() {
+  std::vector<Case> cases;
+  std::size_t turn = 0;
+  for (std::size_t in = 1; in <= 17; ++in) {
+    for (std::size_t out = 1; out <= 17; ++out) {
       for (const std::size_t batch : kBatches) {
         for (const double zero_share : kZeroShares) {
-          for (std::size_t offset = 0; offset < 4; ++offset) {
-            check(rng, shape, batch, zero_share, offset);
-            if (HasFailure()) return;
-          }
+          cases.push_back({{in, out}, batch, zero_share, turn++ % kOffsets});
         }
       }
     }
   }
+  for (const Shape& shape : kPaperShapes) {
+    for (const std::size_t batch : kBatches) {
+      cases.push_back({shape, batch, kZeroShares[turn % 2], turn % kOffsets});
+      ++turn;
+    }
+  }
+  return cases;
+}
 
+/// Runs one vector table; a level the CPU lacks is skipped.
+class SimdTiles : public ::testing::TestWithParam<Level> {
+ protected:
+  void SetUp() override {
+    tiles_ = table(GetParam());
+    if (tiles_ == nullptr) {
+      GTEST_SKIP() << "this build or CPU has no such vector table";
+    }
+  }
+
+  /// Runs `check` over the whole grid, stopping at the first failure.
+  template <class Check>
+  void over_grid(Check check) {
+    util::Rng rng(2024);
+    for (const Case& c : grid()) {
+      check(rng, c);
+      if (HasFailure()) return;
+    }
+  }
+
+  const Ops& scalar_ = scalar_ops();
   const Ops* tiles_ = nullptr;
-  const reference::RowKernels* rows_ = nullptr;
 };
 
-TEST_F(SimdTiles, BackwardInputMatchesRowLoopByteForByte) {
-  over_grid([&](util::Rng& rng, const Shape& shape, std::size_t batch,
-                double zero_share, std::size_t offset) {
-    const auto [in, out] = shape;
-    Buffer w(out * in, offset);
-    Buffer zbar(batch * out, (offset + 1) % 4);
-    fill(rng, w);
-    fill(rng, zbar, zero_share);
-    Buffer want(batch * in, (offset + 2) % 4);
-    Buffer got(batch * in, (offset + 3) % 4);
-    rows_->dense_backward_input(w.data(), zbar.data(), batch, in, out, want.data());
-    tiles_->dense_backward_input(w.data(), zbar.data(), batch, in, out, got.data());
-    ASSERT_TRUE(same_bytes(want, got))
-        << tiles_->name << " " << describe(shape, batch, zero_share, offset);
-    // A row's bits do not depend on the rows tiled with it.
-    Buffer single(in, offset);
-    for (std::size_t s = 0; s < batch; ++s) {
-      tiles_->dense_backward_input(w.data(), zbar.data() + s * out, 1, in, out,
-                                   single.data());
-      ASSERT_EQ(std::memcmp(single.data(), got.data() + s * in,
-                            in * sizeof(double)),
-                0)
-          << "row " << s << " of " << describe(shape, batch, zero_share, offset);
+INSTANTIATE_TEST_SUITE_P(Vector, SimdTiles,
+                         ::testing::Values(Level::kAvx2, Level::kAvx512),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param == Level::kAvx2
+                                                  ? "avx2"
+                                                  : "avx512");
+                         });
+
+TEST_P(SimdTiles, ForwardMatchesScalarByteForByte) {
+  over_grid([&](util::Rng& rng, const Case& c) {
+    const auto [in, out] = c.shape;
+    Buffer wt(in * out, c.offset);
+    Buffer bias(out, c.offset + 1);
+    Buffer x(c.batch * in, c.offset + 2);
+    fill(rng, wt);
+    fill(rng, bias);
+    fill(rng, x, c.zero_share);
+    for (const bool with_bias : {true, false}) {
+      const double* b = with_bias ? bias.data() : nullptr;
+      Buffer want(c.batch * out, c.offset + 3);
+      Buffer got(c.batch * out, c.offset + 3);
+      scalar_.dense_forward(wt.data(), b, x.data(), c.batch, in, out, want.data());
+      tiles_->dense_forward(wt.data(), b, x.data(), c.batch, in, out, got.data());
+      ASSERT_TRUE(same_bytes(want, got))
+          << (with_bias ? "with" : "without") << " bias, " << c.describe();
     }
   });
 }
 
-TEST_F(SimdTiles, ParamGradTangentMatchesRowLoopByteForByte) {
-  over_grid([&](util::Rng& rng, const Shape& shape, std::size_t batch,
-                double zero_share, std::size_t offset) {
-    const auto [in, out] = shape;
-    Buffer x(batch * in, offset);
-    Buffer xdot(batch * in, (offset + 1) % 4);
-    Buffer zbar(batch * out, (offset + 2) % 4);
-    Buffer zbardot(batch * out, (offset + 3) % 4);
+TEST_P(SimdTiles, BackwardInputMatchesScalarByteForByte) {
+  over_grid([&](util::Rng& rng, const Case& c) {
+    const auto [in, out] = c.shape;
+    Buffer w(out * in, c.offset);
+    Buffer zbar(c.batch * out, c.offset + 1);
+    fill(rng, w);
+    fill(rng, zbar, c.zero_share);
+    Buffer want(c.batch * in, c.offset + 2);
+    Buffer got(c.batch * in, c.offset + 2);
+    scalar_.dense_backward_input(w.data(), zbar.data(), c.batch, in, out,
+                                 want.data());
+    tiles_->dense_backward_input(w.data(), zbar.data(), c.batch, in, out,
+                                 got.data());
+    ASSERT_TRUE(same_bytes(want, got)) << c.describe();
+  });
+}
+
+TEST_P(SimdTiles, ParamGradTangentMatchesScalarByteForByte) {
+  over_grid([&](util::Rng& rng, const Case& c) {
+    const auto [in, out] = c.shape;
+    Buffer x(c.batch * in, c.offset);
+    Buffer xdot(c.batch * in, c.offset + 1);
+    Buffer zbar(c.batch * out, c.offset + 2);
+    Buffer zbardot(c.batch * out, c.offset + 3);
     fill(rng, x);
     fill(rng, xdot);
-    fill(rng, zbar, zero_share);
-    fill(rng, zbardot, zero_share);
+    fill(rng, zbar, c.zero_share);
+    fill(rng, zbardot, c.zero_share);
     // Nonzero starting sums: both kernels accumulate into whvp and bhvp.
-    Buffer want_w(out * in, offset);
-    Buffer want_b(out, (offset + 1) % 4);
+    Buffer want_w(out * in, c.offset + 4);
+    Buffer want_b(out, c.offset + 5);
     fill(rng, want_w);
     fill(rng, want_b);
-    Buffer got_w(out * in, (offset + 2) % 4);
-    Buffer got_b(out, (offset + 3) % 4);
-    std::memcpy(got_w.data(), want_w.data(), out * in * sizeof(double));
-    std::memcpy(got_b.data(), want_b.data(), out * sizeof(double));
-    rows_->dense_param_grad_tangent(x.data(), xdot.data(), zbar.data(),
-                                    zbardot.data(), batch, in, out,
-                                    want_w.data(), want_b.data());
+    Buffer got_w = want_w;
+    Buffer got_b = want_b;
+    scalar_.dense_param_grad_tangent(x.data(), xdot.data(), zbar.data(),
+                                     zbardot.data(), c.batch, in, out,
+                                     want_w.data(), want_b.data());
     tiles_->dense_param_grad_tangent(x.data(), xdot.data(), zbar.data(),
-                                     zbardot.data(), batch, in, out,
+                                     zbardot.data(), c.batch, in, out,
                                      got_w.data(), got_b.data());
-    ASSERT_TRUE(same_bytes(want_w, got_w))
-        << tiles_->name << " whvp, " << describe(shape, batch, zero_share, offset);
-    ASSERT_TRUE(same_bytes(want_b, got_b))
-        << tiles_->name << " bhvp, " << describe(shape, batch, zero_share, offset);
+    ASSERT_TRUE(same_bytes(want_w, got_w)) << "whvp, " << c.describe();
+    ASSERT_TRUE(same_bytes(want_b, got_b)) << "bhvp, " << c.describe();
   });
 }
 
