@@ -29,12 +29,10 @@ void parse_descriptor(const util::Json& json, DescriptorConfig& descriptor) {
   descriptor.rcut = json.number_or("rcut", descriptor.rcut);
   descriptor.rcut_smth = json.number_or("rcut_smth", descriptor.rcut_smth);
   if (json.contains("neuron")) descriptor.neuron = parse_widths(json.at("neuron"));
-  if (json.contains("axis_neuron")) {
-    descriptor.axis_neuron = static_cast<std::size_t>(json.at("axis_neuron").as_int());
-  }
-  if (json.contains("sel")) {
-    descriptor.sel = static_cast<std::size_t>(json.at("sel").as_int());
-  }
+  // Through uint_or, so -1, 1e30 or 2.5 is a ValueError naming the key, not
+  // a silent wrap to a huge width or a 1/sel near zero.
+  descriptor.axis_neuron = json.uint_or("axis_neuron", descriptor.axis_neuron);
+  descriptor.sel = json.uint_or("sel", descriptor.sel);
   if (json.contains("activation_function")) {
     descriptor.activation =
         nn::activation_from_string(json.at("activation_function").as_string());

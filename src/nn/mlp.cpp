@@ -46,7 +46,9 @@ void Mlp::pack() {
   double* wt = packed_.data();
   for (const LayerSpec& layer : layers_) {
     for (std::size_t o = 0; o < layer.out; ++o) {
-      for (std::size_t i = 0; i < layer.in; ++i) wt[i * layer.out + o] = w[o * layer.in + i];
+      for (std::size_t i = 0; i < layer.in; ++i) {
+        wt[i * layer.out + o] = w[o * layer.in + i];
+      }
     }
     w += layer.in * layer.out + layer.out;
     wt += layer.in * layer.out;

@@ -116,6 +116,8 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
+/// -mavx512f lets GCC emit AVX2 code as well, so the AVX-512 table also
+/// asks for the AVX2 table's features (every AVX-512F CPU has them).
 bool cpu_supports_avx512f() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx512f") && cpu_supports_avx2_fma();

@@ -43,7 +43,9 @@ void render_histograms(std::ostringstream& out, const util::Json& histograms) {
   if (!histograms.is_object() || histograms.as_object().empty()) return;
   out << "  histograms:\n";
   for (const auto& [name, hist] : histograms.as_object()) {
-    const auto count = static_cast<std::uint64_t>(hist.at("count").as_number());
+    // Counts through uint_at: a count of 1e30 or -1 is a ValueError naming
+    // the key, not an out-of-range float-to-integer cast.
+    const std::uint64_t count = hist.uint_at("count");
     out << "    " << name << "  count=" << count
         << " sum=" << format_number(hist.at("sum").as_number());
     if (hist.contains("min")) {
@@ -54,11 +56,10 @@ void render_histograms(std::ostringstream& out, const util::Json& histograms) {
     if (count == 0) continue;
     std::uint64_t peak = 0;
     for (const util::Json& bucket : hist.at("buckets").as_array()) {
-      peak = std::max(peak,
-                      static_cast<std::uint64_t>(bucket.at("count").as_number()));
+      peak = std::max(peak, bucket.uint_at("count"));
     }
     for (const util::Json& bucket : hist.at("buckets").as_array()) {
-      const auto n = static_cast<std::uint64_t>(bucket.at("count").as_number());
+      const std::uint64_t n = bucket.uint_at("count");
       if (n == 0) continue;
       const std::string le = bucket.at("le").is_string()
                                  ? bucket.at("le").as_string()

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec_fuzz.hpp"
 #include "util/error.hpp"
 
 namespace dpho::dp {
@@ -99,6 +100,26 @@ TEST(ModelSpec, FromJsonRejectsNegativeWidth) {
   EXPECT_THROW(ModelSpec::from_json(util::Json::parse(
                    R"({"descriptor": {"neuron": [4, -8]}})")),
                util::ValueError);
+}
+
+TEST(ModelSpec, IntegerFieldsRejectNegativeHugeAndFractionalValues) {
+  ModelSpec spec;
+  spec.descriptor.neuron = {4, 8};
+  spec.fitting.neuron = {16, 16};
+  // -1 used to wrap sel to 2^64 - 1, a descriptor scaled by about 5e-20.
+  test_support::fuzz_integer_fields(
+      spec.to_json(),
+      {{"descriptor", "sel"},
+       {"descriptor", "axis_neuron"},
+       {"descriptor", "neuron", "1"},
+       {"fitting", "neuron", "0"}},
+      [](const util::Json& json) { return ModelSpec::from_json(json); });
+  try {
+    ModelSpec::from_json(util::Json::parse(R"({"descriptor": {"sel": -1}})"));
+    ADD_FAILURE() << "sel = -1 parsed";
+  } catch (const util::ValueError& e) {
+    EXPECT_NE(std::string(e.what()).find("sel"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ModelSpec, DescribeMentionsArchitecture) {

@@ -133,5 +133,19 @@ TEST_F(DpTrainCli, InvalidConfigExitsFour) {
   EXPECT_EQ(code, 4);
 }
 
+TEST_F(DpTrainCli, NegativeSelFailsNamingTheKey) {
+  util::Json doc = util::Json::parse(util::read_file(dir_->path() / "input.json"));
+  doc["model"]["descriptor"]["sel"] = -1;
+  util::write_file(dir_->path() / "input_sel.json", doc.dump(2));
+  const auto err = dir_->path() / "sel.err";
+  const int code = run_command(
+      std::string(DPHO_DP_TRAIN_BIN) + " " + (dir_->path() / "input_sel.json").string() +
+      " " + (dir_->path() / "train").string() + " " + (dir_->path() / "valid").string() +
+      " --out " + (dir_->path() / "run_sel").string() + " >/dev/null 2>" + err.string());
+  EXPECT_EQ(code, 4);
+  EXPECT_NE(util::read_file(err).find("sel"), std::string::npos) << util::read_file(err);
+  EXPECT_FALSE(std::filesystem::exists(dir_->path() / "run_sel" / "model.json"));
+}
+
 }  // namespace
 }  // namespace dpho

@@ -93,6 +93,38 @@ TEST_F(DphoReportCli, Fnv1aDigestsFileBytes) {
   EXPECT_EQ(util::read_file(digest), "a430d84680aabd0b\n");
 }
 
+TEST_F(DphoReportCli, OutOfRangeHistogramCountFailsNamingTheKey) {
+  util::Json document = util::Json::parse(util::read_file(summary()));
+  util::Json* histogram = nullptr;
+  for (const char* section : {"deterministic", "timing"}) {
+    for (auto& [name, hist] : document[section]["histograms"].as_object()) {
+      if (histogram == nullptr) histogram = &hist;
+    }
+  }
+  ASSERT_NE(histogram, nullptr) << "the run recorded no histogram";
+  const std::filesystem::path bad = dir_->path() / "bad_summary.json";
+  const std::filesystem::path err = dir_->path() / "bad_summary.err";
+  for (const bool bucket : {false, true}) {
+    util::Json mutated = *histogram;
+    if (bucket) {
+      ASSERT_FALSE(mutated["buckets"].as_array().empty());
+      mutated["buckets"].as_array().front()["count"] = 1e30;
+    } else {
+      mutated["count"] = 1e30;
+    }
+    const util::Json original = *histogram;
+    *histogram = mutated;
+    util::write_file(bad, document.dump(2));
+    *histogram = original;
+    EXPECT_EQ(run_command(std::string(DPHO_REPORT_BIN) + " --summary " + bad.string() +
+                          " > /dev/null 2> " + err.string()),
+              1)
+        << (bucket ? "bucket" : "histogram") << " count";
+    EXPECT_NE(util::read_file(err).find("count"), std::string::npos)
+        << util::read_file(err);
+  }
+}
+
 TEST_F(DphoReportCli, BadUsageFails) {
   EXPECT_EQ(run_command(std::string(DPHO_REPORT_BIN) + " > /dev/null 2>&1"), 2);
   EXPECT_EQ(run_command(std::string(DPHO_REPORT_BIN) +
